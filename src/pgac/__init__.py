@@ -32,8 +32,6 @@ from .dataflow import (
     snr_reading,
 )
 from .direct import (
-    direct_cost,
-    direct_gradient,
     natural_direct_step,
     parameterize,
     projected_step,
@@ -75,8 +73,6 @@ from .harness import (
 )
 from .indirect import (
     RegularizedWeights,
-    ce_cost,
-    ce_gradient,
     gauss_newton_step,
     natural_step,
     regularized_cost,

@@ -46,15 +46,6 @@ class Method(str, Enum):
 
 
 DIRECT_METHODS = frozenset({Method.DIRECT_VANILLA, Method.DIRECT_NATURAL})
-MODEL_BASED_METHODS = frozenset(
-    {
-        Method.INDIRECT_VANILLA,
-        Method.INDIRECT_NATURAL,
-        Method.INDIRECT_GAUSS_NEWTON,
-        Method.ADAPTIVE_HEWER,
-        Method.ONE_SHOT_CE,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -85,13 +76,22 @@ class InverseSqrtLambda:
     lambda0: float
 
 
+# Methods whose stepsize is part of their definition: adaptive Hewer is
+# Gauss-Newton at eta = 1/2, one-shot CE re-solves the Riccati equation.
+FIXED_STEPSIZE_RULES = {
+    Method.ADAPTIVE_HEWER: ConstantStep(0.5),
+    Method.ONE_SHOT_CE: None,
+}
+
+
 @dataclass(frozen=True)
 class ControllerSpec:
     """Immutable description of a controller.
 
-    AdaptiveHewer is Gauss-Newton at eta = 1/2 by definition; its stepsize
-    rule may be omitted and is otherwise ignored.  Regularization applies to
-    the gradient-based updates; OneShotCE ignores it.
+    AdaptiveHewer is Gauss-Newton at eta = 1/2 and OneShotCE takes no step,
+    by definition: their stepsize rule may be omitted, and any other rule is
+    rejected.  Regularization applies to the gradient-based updates;
+    OneShotCE ignores it.
     """
 
     method: Method
@@ -103,12 +103,17 @@ class ControllerSpec:
         method = Method(self.method)
         object.__setattr__(self, "method", method)
         rule = self.stepsize_rule
-        if rule is None:
-            if method is Method.ADAPTIVE_HEWER:
-                rule = ConstantStep(0.5)
-                object.__setattr__(self, "stepsize_rule", rule)
-            elif method is not Method.ONE_SHOT_CE:
-                raise ValueError(f"method {method.value} requires a stepsize rule")
+        if method in FIXED_STEPSIZE_RULES:
+            fixed = FIXED_STEPSIZE_RULES[method]
+            if rule is not None and rule != fixed:
+                raise RuleMismatch(
+                    f"method {method.value} fixes its stepsize rule to {fixed!r}, "
+                    f"got {rule!r}"
+                )
+            rule = fixed
+            object.__setattr__(self, "stepsize_rule", rule)
+        elif rule is None:
+            raise ValueError(f"method {method.value} requires a stepsize rule")
         if rule is None:
             pass
         elif isinstance(rule, ConstantStep):
@@ -202,7 +207,7 @@ def initialize(spec, Q, R, offline_record, K_init=None):
         R=R,
         gain=gain,
         record=record,
-        estimate=estimate if spec.method in MODEL_BASED_METHODS else None,
+        estimate=None if spec.method in DIRECT_METHODS else estimate,
         t0=record.t,
     )
 
@@ -231,16 +236,12 @@ def lambda_value(spec, t, t0):
 
 
 def stepsize(state):
-    """Stepsize the next update will use, under the spec's rule.
-
-    AdaptiveHewer always reports 1/2; OneShotCE re-solves the Riccati
-    equation outright and reports NaN.
+    """Stepsize the next update will use, under the spec's rule; NaN for a
+    method without one (OneShotCE re-solves the Riccati equation outright).
     """
-    if state.spec.method is Method.ADAPTIVE_HEWER:
-        return 0.5
-    if state.spec.method is Method.ONE_SHOT_CE:
-        return float("nan")
     rule = state.spec.stepsize_rule
+    if rule is None:
+        return float("nan")
     if isinstance(rule, ConstantStep):
         return rule.eta
     if isinstance(rule, InverseNormM):
@@ -266,13 +267,9 @@ def _policy_update(state, eta, lam):
         return indirect_engine.natural_step(
             state.estimate, Q, R, K, eta, phi_inv=phi_inv, lam=lam
         )
-    if method is Method.INDIRECT_GAUSS_NEWTON:
+    if method in (Method.INDIRECT_GAUSS_NEWTON, Method.ADAPTIVE_HEWER):
         return indirect_engine.gauss_newton_step(
             state.estimate, Q, R, K, eta, phi_inv=phi_inv, lam=lam
-        )
-    if method is Method.ADAPTIVE_HEWER:
-        return indirect_engine.gauss_newton_step(
-            state.estimate, Q, R, K, 0.5, phi_inv=phi_inv, lam=lam
         )
     if method is Method.ONE_SHOT_CE:
         est = state.estimate
@@ -301,7 +298,7 @@ def advance(state, x, u, x_next, w_oracle=None):
         return state
     skip = False
     new_estimate = None
-    if state.spec.method in MODEL_BASED_METHODS:
+    if state.spec.method not in DIRECT_METHODS:
         try:
             new_estimate = rls_update(state.estimate, state.record, u, x, x_next)
         except NotPersistentlyExciting:

@@ -1,6 +1,6 @@
-"""Closed-loop data bookkeeping: raw input/state/successor buffers, the
-sample covariance and its cross-moment blocks (all maintained incrementally),
-recursive least squares, and the signal-to-noise diagnostics.
+"""Closed-loop data bookkeeping: the sample covariance and its cross-moment
+blocks (maintained incrementally, without keeping the raw samples), recursive
+least squares, and the signal-to-noise diagnostics.
 
 Column convention: a regression vector is phi = [u; x] with the input block
 on top, so the batch least-squares solution is theta = [Bhat, Ahat].
@@ -22,11 +22,11 @@ from .linalg import symmetrize
 class DataRecord:
     """Growing record of one closed-loop trajectory.
 
-    Maintains, besides the raw column buffers, the running sample covariance
-    Phi = D0 D0' / t of the stacked data D0 = [U0; X0] and the cross moments
-    Ubar = U0 D0'/t, Xbar0 = X0 D0'/t, Xbar1 = X1 D0'/t, Wbar = W0 D0'/t.
-    Ubar and Xbar0 are literally the row blocks of Phi and are exposed as
-    views of it.
+    Keeps only moments, O((m+n)^2) memory whatever the length: the running
+    sample covariance Phi = D0 D0' / t of the stacked data D0 = [U0; X0] and
+    the cross moments Ubar = U0 D0'/t, Xbar0 = X0 D0'/t, Xbar1 = X1 D0'/t,
+    Wbar = W0 D0'/t.  Ubar and Xbar0 are literally the row blocks of Phi and
+    are exposed as views of it.
 
     The inverse of Phi is tracked with rank-one (Sherman-Morrison) updates
     once available and re-inverted densely every ``reinvert_every`` updates
@@ -44,10 +44,6 @@ class DataRecord:
         self.n = int(n)
         self.t = 0
         d = self.m + self.n
-        self._u_cols = []
-        self._x_cols = []
-        self._x1_cols = []
-        self._w_cols = []
         self._oracle_cols = 0
         self._phi = np.zeros((d, d))
         self._xbar1 = np.zeros((self.n, d))
@@ -74,10 +70,6 @@ class DataRecord:
         """Deep snapshot of the record."""
         other = DataRecord(self.m, self.n, reinvert_every=self._reinvert_every)
         other.t = self.t
-        other._u_cols = [c.copy() for c in self._u_cols]
-        other._x_cols = [c.copy() for c in self._x_cols]
-        other._x1_cols = [c.copy() for c in self._x1_cols]
-        other._w_cols = [c.copy() for c in self._w_cols]
         other._oracle_cols = self._oracle_cols
         other._phi = self._phi.copy()
         other._xbar1 = self._xbar1.copy()
@@ -112,13 +104,8 @@ class DataRecord:
                 raise DimensionMismatch(f"expected w ({self.n},), got {w.shape}")
             self._wbar = (t * self._wbar + np.outer(w, phi)) / (t + 1)
             self._oracle_cols += 1
-            self._w_cols.append(w.copy())
         else:
             self._wbar = t * self._wbar / (t + 1)
-            self._w_cols.append(np.zeros(self.n))
-        self._u_cols.append(u.copy())
-        self._x_cols.append(x.copy())
-        self._x1_cols.append(x_next.copy())
         self.t = t + 1
         self._update_inverse(phi, t)
         return self
@@ -147,22 +134,6 @@ class DataRecord:
         self._updates_since_inversion = 0
 
     # -- views ----------------------------------------------------------------
-
-    @property
-    def U0(self):
-        return np.array(self._u_cols).T.reshape(self.m, self.t)
-
-    @property
-    def X0(self):
-        return np.array(self._x_cols).T.reshape(self.n, self.t)
-
-    @property
-    def X1(self):
-        return np.array(self._x1_cols).T.reshape(self.n, self.t)
-
-    @property
-    def W0(self):
-        return np.array(self._w_cols).T.reshape(self.n, self.t)
 
     @property
     def has_oracle(self):

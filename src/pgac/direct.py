@@ -26,22 +26,9 @@ from .linalg import (
     spectral_radius,
     symmetrize,
 )
-from .dataflow import ModelEstimate
+from .dataflow import batch_least_squares
 from .indirect import natural_step
 from .plant import CostEvaluation
-
-
-def _check_constraint(record, V, tol):
-    defect = np.linalg.norm(record.xbar0 @ V - np.eye(record.n))
-    if defect > tol:
-        raise ConstraintViolated(
-            f"covariance policy violates Xbar0 V = I (defect {defect:.3e})"
-        )
-
-
-def _closed_loop(record, V):
-    F = record.xbar1 @ V
-    return F
 
 
 def parameterize(record, K):
@@ -51,23 +38,20 @@ def parameterize(record, K):
     return record.phi_inv @ stacked
 
 
-def direct_cost(record, V, Q, R, constraint_tol=1e-6):
-    """LQR cost of a covariance policy, straight from data moments.
-
-    Equals ce_cost of the batch least-squares estimate at the gain Ubar V.
-    """
-    V = np.asarray(V, dtype=float)
-    _check_constraint(record, V, constraint_tol)
-    return _cost_eval(record, V, Q, R, lam=0.0, phi=None)
-
-
-def _cost_eval(record, V, Q, R, lam, phi):
-    G = np.asarray(R, dtype=float)
-    ru = record.ubar.T @ G @ record.ubar
+def _cost_eval(record, V, Q, R, lam, constraint_tol):
+    """Cost evaluation of V and the weight G = Ubar'R Ubar + lam Phi on V."""
+    if lam < 0:
+        raise NegativeLambda(f"lambda must be nonnegative, got {lam}")
+    defect = np.linalg.norm(record.xbar0 @ V - np.eye(record.n))
+    if defect > constraint_tol:
+        raise ConstraintViolated(
+            f"covariance policy violates Xbar0 V = I (defect {defect:.3e})"
+        )
+    G = record.ubar.T @ np.asarray(R, dtype=float) @ record.ubar
     if lam > 0.0:
-        ru = ru + lam * phi
-    W = symmetrize(np.asarray(Q, dtype=float) + V.T @ ru @ V)
-    F = _closed_loop(record, V)
+        G = G + lam * record.phi
+    W = symmetrize(np.asarray(Q, dtype=float) + V.T @ G @ V)
+    F = record.xbar1 @ V
     if not is_stabilizing(F):
         raise NotStabilizingForData(
             f"data-implied closed loop has spectral radius {spectral_radius(F):.6f}"
@@ -79,40 +63,30 @@ def _cost_eval(record, V, Q, R, lam, phi):
         raise NotStabilizingForData(
             f"data-implied closed loop is unstable: {exc}"
         ) from exc
-    return CostEvaluation(cost=float(np.trace(W @ sigma)), sigma=sigma, value=value)
+    ev = CostEvaluation(cost=float(np.trace(W @ sigma)), sigma=sigma, value=value)
+    return ev, G
 
 
-def direct_gradient(record, V, Q, R, constraint_tol=1e-6):
-    """Unprojected gradient 2 (Ubar'R Ubar + Xbar1'P Xbar1) V Sigma."""
-    return regularized_direct_gradient(
-        record, V, Q, R, lam=0.0, constraint_tol=constraint_tol
-    )
+def regularized_direct_cost(record, V, Q, R, lam=0.0, constraint_tol=1e-6):
+    """Regularized direct cost J(V) + lam * trace(V Sigma V' Phi), straight
+    from data moments.
 
-
-def regularized_direct_cost(record, V, Q, R, lam, constraint_tol=1e-6):
-    """Scalar regularized direct cost J(V) + lam * trace(V Sigma V' Phi)."""
-    if lam < 0:
-        raise NegativeLambda(f"lambda must be nonnegative, got {lam}")
+    At lam = 0 it equals the CE cost of the batch least-squares estimate at
+    the gain Ubar V.
+    """
     V = np.asarray(V, dtype=float)
-    _check_constraint(record, V, constraint_tol)
-    ev = _cost_eval(record, V, Q, R, lam=lam, phi=record.phi)
-    return ev.cost
+    return _cost_eval(record, V, Q, R, lam, constraint_tol)[0]
 
 
-def regularized_direct_gradient(record, V, Q, R, lam, constraint_tol=1e-6):
-    """Gradient of the regularized direct cost (two Lyapunov solves).
+def regularized_direct_gradient(record, V, Q, R, lam=0.0, constraint_tol=1e-6):
+    """Unprojected gradient of the regularized direct cost (two Lyapunov
+    solves).
 
     2 (lam Phi + Ubar'R Ubar + Xbar1'P Xbar1) V Sigma, with the value matrix
     P solved under the lam-inflated weights.
     """
-    if lam < 0:
-        raise NegativeLambda(f"lambda must be nonnegative, got {lam}")
     V = np.asarray(V, dtype=float)
-    _check_constraint(record, V, constraint_tol)
-    ev = _cost_eval(record, V, Q, R, lam=lam, phi=record.phi)
-    G = record.ubar.T @ np.asarray(R, dtype=float) @ record.ubar
-    if lam > 0.0:
-        G = G + lam * record.phi
+    ev, G = _cost_eval(record, V, Q, R, lam, constraint_tol)
     core = G + record.xbar1.T @ ev.value @ record.xbar1
     return 2.0 * core @ V @ ev.sigma
 
@@ -148,7 +122,6 @@ def natural_direct_step(record, K, Q, R, eta, lam=0.0):
     Equivalent to the indirect natural step at the batch least-squares
     estimate implied by the record; implemented through that identity.
     """
-    theta = record.xbar1 @ record.phi_inv
-    estimate = ModelEstimate.from_theta(theta, record.m)
-    phi_inv = record.phi_inv if lam > 0.0 else None
-    return natural_step(estimate, Q, R, K, eta, phi_inv=phi_inv, lam=lam)
+    return natural_step(
+        batch_least_squares(record), Q, R, K, eta, phi_inv=record.phi_inv, lam=lam
+    )

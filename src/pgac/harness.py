@@ -11,6 +11,7 @@ and the timing columns are exactly 0.0 otherwise.
 """
 
 import ast
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -283,23 +284,21 @@ def run_trial(config, trial_index):
     )
 
 
-def _trial_task(payload):
-    config, index = payload
-    return run_trial(config, index)
-
-
 def run_monte_carlo(config, jobs=1):
     """Run all trials of a config and aggregate.
 
     ``jobs`` > 1 distributes trials over processes; results are collected in
-    trial order, so parallel runs emit byte-identical output.
+    trial order, so parallel runs emit byte-identical output.  ``jobs`` < 1
+    raises ``ConfigError``.
     """
-    payloads = [(config, i) for i in range(config.trials)]
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    n = config.trials
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            logs = list(pool.map(_trial_task, payloads))
+            logs = list(pool.map(run_trial, itertools.repeat(config, n), range(n)))
     else:
-        logs = [run_trial(config, i) for i in range(config.trials)]
+        logs = [run_trial(config, i) for i in range(n)]
     converged = [lg for lg in logs if lg.status != "halted"]
     rate = len(converged) / len(logs)
     median_gap = (
@@ -508,12 +507,7 @@ def config_from_mapping(mapping):
     if eta_rule == "constant":
         if eta_coeff is not None:
             raise ConfigError("key 'eta_coeff' requires eta_rule = inverse_norm_m")
-        if eta is not None:
-            stepsize_rule = ConstantStep(eta)
-        elif method in (Method.ADAPTIVE_HEWER, Method.ONE_SHOT_CE):
-            stepsize_rule = None
-        else:
-            raise ConfigError(f"method {method.value} requires key 'eta'")
+        stepsize_rule = None if eta is None else ConstantStep(eta)
     elif eta_rule == "inverse_norm_m":
         if eta is not None:
             raise ConfigError("key 'eta' requires eta_rule = constant")

@@ -7,8 +7,8 @@ closed forms that need only the value matrix, i.e. a single solve.
 
 Regularization follows the inverse-covariance scheme: the weights are
 inflated by lambda-scaled blocks of Phi^{-1}, which adds a cross term to the
-value recursion and to the gradient.  lambda = 0 recovers the plain engines
-bit-for-bit.
+value recursion and to the gradient.  Every engine takes lambda; lambda = 0
+(the default) is the plain certainty-equivalence engine.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NegativeLambda, NotStabilizingForEstimate
 from .linalg import _solve_dlyap_stable, is_stabilizing, spectral_radius, symmetrize
-from .plant import evaluate_gain
+from .plant import CostEvaluation
 
 
 @dataclass
@@ -34,7 +34,7 @@ class RegularizedWeights:
     lam: float
 
     @classmethod
-    def build(cls, Q, R, phi_inv, lam):
+    def build(cls, Q, R, phi_inv=None, lam=0.0):
         """Partition phi_inv (input block first) and scale by lam."""
         if lam < 0:
             raise NegativeLambda(f"lambda must be nonnegative, got {lam}")
@@ -42,7 +42,7 @@ class RegularizedWeights:
         R = np.asarray(R, dtype=float)
         m = R.shape[0]
         if lam == 0.0 or phi_inv is None:
-            return cls.plain(Q, R)
+            return cls(q_lambda=Q, r_lambda=R, cross=np.zeros((m, Q.shape[0])), lam=0.0)
         phi_inv = np.asarray(phi_inv, dtype=float)
         return cls(
             q_lambda=symmetrize(Q + lam * phi_inv[m:, m:]),
@@ -50,13 +50,6 @@ class RegularizedWeights:
             cross=lam * phi_inv[:m, m:],
             lam=float(lam),
         )
-
-    @classmethod
-    def plain(cls, Q, R):
-        Q = np.asarray(Q, dtype=float)
-        R = np.asarray(R, dtype=float)
-        m, n = R.shape[0], Q.shape[0]
-        return cls(q_lambda=Q, r_lambda=R, cross=np.zeros((m, n)), lam=0.0)
 
 
 def _value_and_direction(estimate, weights, K):
@@ -86,23 +79,12 @@ def _value_and_direction(estimate, weights, K):
     return P, E, F
 
 
-def ce_cost(estimate, Q, R, K):
-    """LQR cost of the gain on the estimated model."""
-    return evaluate_gain(
-        estimate.Ahat, estimate.Bhat, Q, R, K, error=NotStabilizingForEstimate
-    )
-
-
-def ce_gradient(estimate, Q, R, K):
-    """Policy gradient of the certainty-equivalence cost (two solves)."""
-    return regularized_gradient(estimate, Q, R, K, phi_inv=None, lam=0.0)
-
-
-def regularized_gradient(estimate, Q, R, K, phi_inv, lam):
-    """Gradient of the inverse-covariance regularized CE cost.
+def regularized_gradient(estimate, Q, R, K, phi_inv=None, lam=0.0):
+    """Gradient of the inverse-covariance regularized CE cost (two solves).
 
     2 (R_lam K + Bhat' P (Ahat + Bhat K) + cross) Sigma, with P from the
-    cross-term value recursion and Sigma the plain closed-loop covariance.
+    cross-term value recursion and Sigma the plain closed-loop covariance;
+    at lam = 0 this is the plain certainty-equivalence policy gradient.
     """
     weights = RegularizedWeights.build(Q, R, phi_inv, lam)
     _, E, F = _value_and_direction(estimate, weights, K)
@@ -110,12 +92,14 @@ def regularized_gradient(estimate, Q, R, K, phi_inv, lam):
     return 2.0 * E @ sigma
 
 
-def regularized_cost(estimate, Q, R, K, phi_inv, lam):
-    """Scalar regularized CE cost: the plain cost plus
-    lam * trace(Phi^{-1} [K; I] Sigma [K; I]')."""
+def regularized_cost(estimate, Q, R, K, phi_inv=None, lam=0.0):
+    """Regularized CE cost, the plain cost of the gain on the estimated model
+    plus lam * trace(Phi^{-1} [K; I] Sigma [K; I]'), with its (regularized)
+    value matrix and the plain closed-loop covariance (two solves)."""
     weights = RegularizedWeights.build(Q, R, phi_inv, lam)
-    P, _, _ = _value_and_direction(estimate, weights, K)
-    return float(np.trace(P))
+    P, _, F = _value_and_direction(estimate, weights, K)
+    sigma = _solve_dlyap_stable(F, np.eye(F.shape[0]))
+    return CostEvaluation(cost=float(np.trace(P)), sigma=sigma, value=P)
 
 
 def natural_step(estimate, Q, R, K, eta, phi_inv=None, lam=0.0):

@@ -12,9 +12,7 @@ import numpy as np
 
 from .errors import CertificateViolated, DimensionMismatch, NotStabilizing, RankDeficient
 from .linalg import (
-    STABILITY_MARGIN,
     _solve_dlyap_stable,
-    initial_stabilizing_gain,
     is_stabilizing,
     solve_riccati_hewer,
     spectral_radius,
@@ -122,25 +120,6 @@ class LinearQuadraticPlant:
         return f"LinearQuadraticPlant(n={self.n}, m={self.m})"
 
 
-def evaluate_gain(A, B, Q, R, K, margin=STABILITY_MARGIN, error=NotStabilizing):
-    """Closed-loop cost of u = Kx for an arbitrary (A, B, Q, R) quadruple.
-
-    Performs exactly two Lyapunov solves (state covariance and value matrix).
-    Raises ``error`` when K fails to stabilize the given model.
-    """
-    K = np.asarray(K, dtype=float)
-    F = A + B @ K
-    if not is_stabilizing(F, margin):
-        raise error(
-            f"gain gives closed-loop spectral radius {spectral_radius(F):.6f}"
-        )
-    W = symmetrize(Q + K.T @ R @ K)
-    sigma = _solve_dlyap_stable(F, np.eye(F.shape[0]))
-    value = _solve_dlyap_stable(F.T, W)
-    cost = float(np.trace(W @ sigma))
-    return CostEvaluation(cost=cost, sigma=sigma, value=value)
-
-
 def step(plant, x, u, w):
     """One simulation step; returns (x_next, z) with z the weighted stage
     output [sqrt(Q) x; sqrt(R) u], so that ||z||^2 is the stage cost."""
@@ -158,8 +137,22 @@ def step(plant, x, u, w):
 
 
 def lqr_cost(plant, K):
-    """Infinite-horizon average LQR cost of the static feedback u = Kx."""
-    return evaluate_gain(plant.A, plant.B, plant.Q, plant.R, K)
+    """Infinite-horizon average LQR cost of the static feedback u = Kx.
+
+    Performs exactly two Lyapunov solves (state covariance and value matrix).
+    Raises ``NotStabilizing`` when K fails to stabilize the plant.
+    """
+    K = np.asarray(K, dtype=float)
+    F = plant.A + plant.B @ K
+    if not is_stabilizing(F):
+        raise NotStabilizing(
+            f"gain gives closed-loop spectral radius {spectral_radius(F):.6f}"
+        )
+    W = symmetrize(plant.Q + K.T @ plant.R @ K)
+    sigma = _solve_dlyap_stable(F, np.eye(F.shape[0]))
+    value = _solve_dlyap_stable(F.T, W)
+    cost = float(np.trace(W @ sigma))
+    return CostEvaluation(cost=cost, sigma=sigma, value=value)
 
 
 def exact_gradient(plant, K):

@@ -98,7 +98,7 @@ def _check_direct_equivalence(rng):
     V = direct.parameterize(rec, K)
     eta = 1e-4
     _, k_direct = direct.projected_step(rec, V, plant.Q, plant.R, eta)
-    grad = indirect.ce_gradient(est, plant.Q, plant.R, K)
+    grad = indirect.regularized_gradient(est, plant.Q, plant.R, K)
     k_bridge = K - eta * direct.scaling_matrix(rec) @ grad
     err = np.linalg.norm(k_direct - k_bridge) / max(1.0, np.linalg.norm(K))
     nat_a = direct.natural_direct_step(rec, K, plant.Q, plant.R, 0.1)

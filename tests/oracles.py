@@ -125,17 +125,26 @@ def gain_for_estimate(estimate, Q, R, rng, spread=0.3, radius=0.95):
     return sol.gain
 
 
-def simulate_record(plant, rng, t, sigma_u=1.0, sigma_w=1.0, with_noise_log=True):
-    """Open-loop rollout from the origin, logged into a fresh DataRecord."""
-    record = DataRecord(plant.m, plant.n)
+def simulate_columns(plant, rng, t, sigma_u=1.0, sigma_w=1.0):
+    """Open-loop rollout from the origin as column arrays (U0, X0, X1, W0)."""
+    U0 = np.zeros((plant.m, t))
+    X0 = np.zeros((plant.n, t))
+    X1 = np.zeros((plant.n, t))
+    W0 = np.zeros((plant.n, t))
     x = np.zeros(plant.n)
-    for _ in range(t):
+    for j in range(t):
         u = sigma_u * rng.standard_normal(plant.m)
         w = sigma_w * rng.standard_normal(plant.n)
         x_next = plant.A @ x + plant.B @ u + w
-        record.append(u, x, x_next, w if with_noise_log else None)
+        U0[:, j], X0[:, j], X1[:, j], W0[:, j] = u, x, x_next, w
         x = x_next
-    return record
+    return U0, X0, X1, W0
+
+
+def simulate_record(plant, rng, t, sigma_u=1.0, sigma_w=1.0, with_noise_log=True):
+    """Open-loop rollout from the origin, logged into a fresh DataRecord."""
+    U0, X0, X1, W0 = simulate_columns(plant, rng, t, sigma_u, sigma_w)
+    return DataRecord.from_arrays(U0, X0, X1, W0 if with_noise_log else None)
 
 
 def identity_record(m, n):

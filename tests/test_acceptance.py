@@ -32,10 +32,6 @@ from pgac import (
     NotStabilizingForData,
     batch_least_squares,
     benchmark_plant,
-    ce_cost,
-    ce_gradient,
-    direct_cost,
-    direct_gradient,
     exact_gradient,
     gauss_newton_step,
     gradient_dominance_gap,
@@ -149,13 +145,13 @@ def test_criterion_02_gradients_match_finite_differences():
         assert rel_err(G, G_fd) < 1e-4
 
         # model gradient, plain and regularized
-        G = ce_gradient(est, plant.Q, plant.R, K_est)
+        G = regularized_gradient(est, plant.Q, plant.R, K_est)
         G_fd = central_fd_gradient(
-            lambda KK: ce_cost(est, plant.Q, plant.R, KK).cost, K_est)
+            lambda KK: regularized_cost(est, plant.Q, plant.R, KK).cost, K_est)
         assert rel_err(G, G_fd) < 1e-4
         G = regularized_gradient(est, plant.Q, plant.R, K_est, phi_inv, lam)
         G_fd = central_fd_gradient(
-            lambda KK: regularized_cost(est, plant.Q, plant.R, KK, phi_inv, lam),
+            lambda KK: regularized_cost(est, plant.Q, plant.R, KK, phi_inv, lam).cost,
             K_est)
         assert rel_err(G, G_fd) < 1e-4
 
@@ -163,14 +159,14 @@ def test_criterion_02_gradients_match_finite_differences():
         # feasible directions only
         V = parameterize(rec, K_est)
         G_fd = tangent_fd_gradient(
-            lambda VV: direct_cost(rec, VV, plant.Q, plant.R).cost, V, N)
-        G = direct_gradient(rec, V, plant.Q, plant.R)
+            lambda VV: regularized_direct_cost(rec, VV, plant.Q, plant.R).cost, V, N)
+        G = regularized_direct_gradient(rec, V, plant.Q, plant.R)
         G_t = N @ (N.T @ G)
         assert rel_err(G_t, G_fd) < 1e-4
         G = regularized_direct_gradient(rec, V, plant.Q, plant.R, lam)
         G_t = N @ (N.T @ G)
         G_fd = tangent_fd_gradient(
-            lambda VV: regularized_direct_cost(rec, VV, plant.Q, plant.R, lam),
+            lambda VV: regularized_direct_cost(rec, VV, plant.Q, plant.R, lam).cost,
             V, N)
         assert rel_err(G_t, G_fd) < 1e-4
         checked += 1
@@ -185,7 +181,7 @@ def test_criterion_03_direct_step_is_preconditioned_model_gradient():
         V = parameterize(rec, K)
         _, K_direct = projected_step(rec, V, plant.Q, plant.R, eta)
         M = scaling_matrix(rec)
-        G_model = ce_gradient(est, plant.Q, plant.R, K)
+        G_model = regularized_gradient(est, plant.Q, plant.R, K)
         K_expected = K - eta * M @ G_model
         err = np.linalg.norm(K_direct - K_expected) / max(1.0, np.linalg.norm(K))
         assert err < 1e-8

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -70,6 +71,18 @@ def test_spec_validation_matrix():
         ControllerSpec("indirect_vanilla")  # stepsize rule is mandatory here
     assert ControllerSpec("adaptive_hewer").stepsize_rule == ConstantStep(0.5)
     assert ControllerSpec("one_shot_ce").stepsize_rule is None
+    # a method whose stepsize is fixed by definition rejects any other rule
+    with pytest.raises(RuleMismatch):
+        ControllerSpec("adaptive_hewer", ConstantStep(0.3))
+    with pytest.raises(RuleMismatch):
+        ControllerSpec("one_shot_ce", ConstantStep(0.1))
+    with pytest.raises(RuleMismatch):
+        ControllerSpec("adaptive_hewer", InverseNormM(0.2))
+    hewer = ControllerSpec("adaptive_hewer", ConstantStep(0.5))
+    assert hewer == ControllerSpec("adaptive_hewer")
+    assert dataclasses.replace(hewer, probe_std=0.5).stepsize_rule == ConstantStep(0.5)
+    assert dataclasses.replace(ControllerSpec("one_shot_ce"),
+                               probe_std=0.5).stepsize_rule is None
     with pytest.raises(ValueError):
         ControllerSpec("indirect_vanilla", ConstantStep(0.0))
     with pytest.raises(ValueError):

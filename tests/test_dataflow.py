@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import identity_record, simulate_record
+from oracles import identity_record, simulate_columns, simulate_record
 from pgac import (
     DataRecord,
     LinearQuadraticPlant,
@@ -37,8 +37,11 @@ def test_underdetermined_record_is_not_pe():
 
 def test_from_arrays_matches_appends():
     plant = benchmark_plant()
-    rec = simulate_record(plant, np.random.default_rng(9), 30)
-    twin = DataRecord.from_arrays(rec.U0, rec.X0, rec.X1, rec.W0)
+    U0, X0, X1, W0 = simulate_columns(plant, np.random.default_rng(9), 30)
+    rec = DataRecord(3, 3)
+    for j in range(30):
+        rec.append(U0[:, j], X0[:, j], X1[:, j], W0[:, j])
+    twin = DataRecord.from_arrays(U0, X0, X1, W0)
     assert twin.t == rec.t
     assert np.allclose(twin.phi, rec.phi, atol=1e-12)
     assert np.allclose(twin.phi_inv, rec.phi_inv, atol=1e-10)
@@ -48,14 +51,15 @@ def test_from_arrays_matches_appends():
 
 def test_aggregate_property_definitions():
     plant = benchmark_plant()
-    rec = simulate_record(plant, np.random.default_rng(4), 40)
+    U0, X0, X1, W0 = simulate_columns(plant, np.random.default_rng(4), 40)
+    rec = DataRecord.from_arrays(U0, X0, X1, W0)
     t = rec.t
-    D0 = np.vstack([rec.U0, rec.X0])
+    D0 = np.vstack([U0, X0])
     assert np.allclose(rec.phi, D0 @ D0.T / t, atol=1e-12)
-    assert np.allclose(rec.ubar, rec.U0 @ D0.T / t, atol=1e-12)
-    assert np.allclose(rec.xbar0, rec.X0 @ D0.T / t, atol=1e-12)
-    assert np.allclose(rec.xbar1, rec.X1 @ D0.T / t, atol=1e-12)
-    assert np.allclose(rec.wbar, rec.W0 @ D0.T / t, atol=1e-12)
+    assert np.allclose(rec.ubar, U0 @ D0.T / t, atol=1e-12)
+    assert np.allclose(rec.xbar0, X0 @ D0.T / t, atol=1e-12)
+    assert np.allclose(rec.xbar1, X1 @ D0.T / t, atol=1e-12)
+    assert np.allclose(rec.wbar, W0 @ D0.T / t, atol=1e-12)
     assert np.allclose(rec.phi, rec.phi.T, atol=1e-14)
 
 
@@ -83,9 +87,10 @@ def test_theta_layout_round_trip():
 def test_rls_matches_batch_recomputation():
     plant = benchmark_plant()
     rng = np.random.default_rng(3)
-    rec = simulate_record(plant, rng, 20)
+    U0, X0, X1, W0 = simulate_columns(plant, rng, 20)
+    rec = DataRecord.from_arrays(U0, X0, X1, W0)
     est = batch_least_squares(rec)
-    x = rec.X1[:, -1]
+    x = X1[:, -1]
     for _ in range(30):
         u = rng.standard_normal(3)
         w = rng.standard_normal(3)

@@ -5,10 +5,7 @@ from oracles import gain_for_estimate, identity_record, simulate_record, tangent
 from pgac import (
     batch_least_squares,
     benchmark_plant,
-    ce_cost,
-    ce_gradient,
-    direct_cost,
-    direct_gradient,
+    exact_gradient,
     lqr_cost,
     natural_direct_step,
     natural_step,
@@ -18,6 +15,7 @@ from pgac import (
     regularized_cost,
     regularized_direct_cost,
     regularized_direct_gradient,
+    regularized_gradient,
     scaling_matrix,
 )
 from pgac.errors import ConstraintViolated, NegativeLambda, NotStabilizingForData
@@ -57,8 +55,8 @@ def test_direct_cost_equals_model_cost():
     for _ in range(10):
         K = gain_for_estimate(est, plant.Q, plant.R, rng, spread=0.25)
         V = parameterize(rec, K)
-        ev = direct_cost(rec, V, plant.Q, plant.R)
-        ref = ce_cost(est, plant.Q, plant.R, K)
+        ev = regularized_direct_cost(rec, V, plant.Q, plant.R)
+        ref = regularized_cost(est, plant.Q, plant.R, K)
         assert abs(ev.cost - ref.cost) < 1e-10 * max(1.0, ref.cost)
         assert np.allclose(ev.sigma, ref.sigma, atol=1e-10)
 
@@ -69,7 +67,7 @@ def test_direct_cost_flags_off_manifold_inputs():
     V = parameterize(rec, K)
     V_bad = V + 1e-3
     with pytest.raises(ConstraintViolated):
-        direct_cost(rec, V_bad, plant.Q, plant.R)
+        regularized_direct_cost(rec, V_bad, plant.Q, plant.R)
     with pytest.raises(NegativeLambda):
         regularized_direct_cost(rec, V, plant.Q, plant.R, -0.2)
 
@@ -78,7 +76,7 @@ def test_direct_cost_flags_destabilizing_parameter():
     plant, rec, _ = fixture_record()
     V = parameterize(rec, np.zeros((3, 3)))  # open loop is unstable
     with pytest.raises(NotStabilizingForData):
-        direct_cost(rec, V, plant.Q, plant.R)
+        regularized_direct_cost(rec, V, plant.Q, plant.R)
 
 
 def test_regularized_direct_matches_indirect_counterpart():
@@ -88,8 +86,8 @@ def test_regularized_direct_matches_indirect_counterpart():
         for _ in range(5):
             K = gain_for_estimate(est, plant.Q, plant.R, rng, spread=0.2)
             V = parameterize(rec, K)
-            jd = regularized_direct_cost(rec, V, plant.Q, plant.R, lam)
-            ji = regularized_cost(est, plant.Q, plant.R, K, rec.phi_inv, lam)
+            jd = regularized_direct_cost(rec, V, plant.Q, plant.R, lam).cost
+            ji = regularized_cost(est, plant.Q, plant.R, K, rec.phi_inv, lam).cost
             assert abs(jd - ji) < 1e-12 * max(1.0, ji)
 
 
@@ -97,8 +95,12 @@ def test_zero_lambda_gradient_is_plain_gradient():
     plant, rec, est = fixture_record()
     K = gain_for_estimate(est, plant.Q, plant.R, np.random.default_rng(97), spread=0.2)
     V = parameterize(rec, K)
-    assert np.array_equal(direct_gradient(rec, V, plant.Q, plant.R),
-                          regularized_direct_gradient(rec, V, plant.Q, plant.R, 0.0))
+    # at lam = 0 no Phi term enters: on the tangent space the data gradient is
+    # the estimated model's plain LQR gradient mapped by Ubar'
+    model = LinearQuadraticPlant(est.Ahat, est.Bhat, plant.Q, plant.R)
+    Pi = nullspace_projector(rec.xbar0)
+    G = regularized_direct_gradient(rec, V, plant.Q, plant.R, 0.0)
+    assert np.linalg.norm(Pi @ G - Pi @ (rec.ubar.T @ exact_gradient(model, K))) < 1e-10
 
 
 def test_tangent_chain_rule():
@@ -108,8 +110,8 @@ def test_tangent_chain_rule():
     for _ in range(10):
         K = gain_for_estimate(est, plant.Q, plant.R, rng, spread=0.25)
         V = parameterize(rec, K)
-        G_dir = direct_gradient(rec, V, plant.Q, plant.R)
-        G_ce = ce_gradient(est, plant.Q, plant.R, K)
+        G_dir = regularized_direct_gradient(rec, V, plant.Q, plant.R)
+        G_ce = regularized_gradient(est, plant.Q, plant.R, K)
         assert np.linalg.norm(Pi @ G_dir - Pi @ (rec.ubar.T @ G_ce)) < 1e-10
 
 
@@ -122,8 +124,8 @@ def test_tangent_gradient_matches_finite_differences():
         K = gain_for_estimate(est, plant.Q, plant.R, rng, spread=0.2)
         V = parameterize(rec, K)
         G_fd = tangent_fd_gradient(
-            lambda VV: direct_cost(rec, VV, plant.Q, plant.R).cost, V, N)
-        G_tan = Pi @ direct_gradient(rec, V, plant.Q, plant.R)
+            lambda VV: regularized_direct_cost(rec, VV, plant.Q, plant.R).cost, V, N)
+        G_tan = Pi @ regularized_direct_gradient(rec, V, plant.Q, plant.R)
         assert np.allclose(G_fd, G_tan, rtol=1e-5, atol=1e-6)
 
 
@@ -132,12 +134,12 @@ def test_projected_descent_preserves_constraint():
     K0 = gain_for_estimate(est, plant.Q, plant.R, np.random.default_rng(107), spread=0.2)
     V = parameterize(rec, K0)
     eta = 0.2 / np.linalg.norm(scaling_matrix(rec), 2)
-    costs = [direct_cost(rec, V, plant.Q, plant.R).cost]
+    costs = [regularized_direct_cost(rec, V, plant.Q, plant.R).cost]
     for _ in range(100):
         V, K = projected_step(rec, V, plant.Q, plant.R, eta)
         assert np.linalg.norm(rec.xbar0 @ V - np.eye(3)) < 1e-8
         assert np.allclose(rec.ubar @ V, K, atol=1e-10)
-    costs.append(direct_cost(rec, V, plant.Q, plant.R).cost)
+    costs.append(regularized_direct_cost(rec, V, plant.Q, plant.R).cost)
     assert costs[-1] < costs[0]  # descent made progress
 
 

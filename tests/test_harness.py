@@ -11,7 +11,9 @@ from pgac import (
     ConstantStep,
     ControllerSpec,
     ExperimentConfig,
+    InverseSqrtLambda,
     TrajectoryLog,
+    ZeroLambda,
     benchmark_plant,
     cli,
     emit_csv,
@@ -230,6 +232,13 @@ def test_config_mapping_requirements():
         config_from_mapping({"method": "indirect_vanilla", "eta": "0.1",
                              "plant": "explicit", "A": "[[0.5]]", "B": "[[1.0]]",
                              "Q": "[[1.0]]"})  # R missing
+    # eta is forbidden where the method fixes its own stepsize
+    with pytest.raises(ConfigError):
+        config_from_mapping({"method": "one_shot_ce", "eta": "0.1"})
+    with pytest.raises(ConfigError):
+        config_from_mapping({"method": "adaptive_hewer", "eta": "0.3"})
+    cfg = config_from_mapping({"method": "adaptive_hewer", "eta": "0.5"})
+    assert cfg.controller == ControllerSpec("adaptive_hewer")
 
 
 def test_config_mapping_defaults_and_explicit_plant():
@@ -304,6 +313,27 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
     missing = tmp_path / "missing.cfg"
     assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path)]) in (2, 3)
+
+
+def test_cli_nonpositive_jobs_exits_2(tmp_path):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    for jobs in ("0", "-1"):
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         "--jobs", jobs]) == 2
+        assert cli.main(["compare", "--configs", str(cfg), "--jobs", jobs]) == 2
+    assert not out.exists()
+
+
+def test_adaptive_hewer_is_gauss_newton_at_half_step():
+    for lambda_rule in (ZeroLambda(), InverseSqrtLambda(0.0), InverseSqrtLambda(0.1)):
+        hewer = small_config(
+            controller=ControllerSpec("adaptive_hewer", lambda_rule=lambda_rule))
+        newton = small_config(controller=ControllerSpec(
+            "indirect_gauss_newton", ConstantStep(0.5), lambda_rule=lambda_rule))
+        for i in range(4):
+            assert (trajectory_csv_text(run_trial(hewer, i))
+                    == trajectory_csv_text(run_trial(newton, i)))
 
 
 def test_cli_unwritable_output_exits_3(tmp_path):

@@ -8,8 +8,6 @@ from pgac import (
     RegularizedWeights,
     batch_least_squares,
     benchmark_plant,
-    ce_cost,
-    ce_gradient,
     exact_gradient,
     gauss_newton_step,
     hewer_iterates,
@@ -37,9 +35,9 @@ def test_ce_matches_exact_plant_quantities():
     rng = np.random.default_rng(17)
     for _ in range(10):
         K = random_stabilizing_gain(plant, rng, spread=0.4)
-        ev = ce_cost(est, plant.Q, plant.R, K)
+        ev = regularized_cost(est, plant.Q, plant.R, K)
         assert abs(ev.cost - lqr_cost(plant, K).cost) < 1e-12 * max(1.0, ev.cost)
-        G = ce_gradient(est, plant.Q, plant.R, K)
+        G = regularized_gradient(est, plant.Q, plant.R, K)
         assert np.allclose(G, exact_gradient(plant, K), atol=1e-12)
 
 
@@ -47,21 +45,29 @@ def test_ce_cost_rejects_destabilizing_gain():
     plant = benchmark_plant()
     est = true_estimate(plant)
     with pytest.raises(NotStabilizingForEstimate):
-        ce_cost(est, plant.Q, plant.R, np.zeros((3, 3)))
+        regularized_cost(est, plant.Q, plant.R, np.zeros((3, 3)))
 
 
 def test_zero_lambda_collapses_to_plain_ce():
     plant = benchmark_plant()
     est, rec = noisy_estimate(plant, 23)
+    model = LinearQuadraticPlant(est.Ahat, est.Bhat, plant.Q, plant.R)
     rng = np.random.default_rng(29)
     for _ in range(10):
         K = gain_for_estimate(est, plant.Q, plant.R, rng, spread=0.3)
-        g_plain = ce_gradient(est, plant.Q, plant.R, K)
-        g_reg = regularized_gradient(est, plant.Q, plant.R, K, None, 0.0)
-        assert np.array_equal(g_plain, g_reg)
-        cost_reg = regularized_cost(est, plant.Q, plant.R, K, None, 0.0)
-        cost_ce = ce_cost(est, plant.Q, plant.R, K).cost
-        assert abs(cost_reg - cost_ce) < 1e-13 * max(1.0, cost_ce)
+        # at lam = 0 the inverse covariance must not enter at all
+        g_reg = regularized_gradient(est, plant.Q, plant.R, K, rec.phi_inv, 0.0)
+        assert np.array_equal(g_reg, regularized_gradient(est, plant.Q, plant.R, K))
+        ev = regularized_cost(est, plant.Q, plant.R, K, rec.phi_inv, 0.0)
+        plain = regularized_cost(est, plant.Q, plant.R, K)
+        assert ev.cost == plain.cost
+        assert np.array_equal(ev.value, plain.value)
+        # and the result is the plain LQR cost/gradient of the estimated model
+        ref = lqr_cost(model, K)
+        assert abs(ev.cost - ref.cost) < 1e-12 * max(1.0, ref.cost)
+        assert np.allclose(ev.value, ref.value, rtol=1e-10, atol=1e-12)
+        assert np.allclose(ev.sigma, ref.sigma, rtol=1e-10, atol=1e-12)
+        assert np.allclose(g_reg, exact_gradient(model, K), rtol=1e-9, atol=1e-10)
 
 
 def test_negative_lambda_rejected():
@@ -85,10 +91,12 @@ def test_regularized_weights_block_layout():
     assert np.allclose(w.q_lambda, plant.Q + lam * phi_inv[3:, 3:], atol=1e-12)
     assert np.allclose(w.cross, lam * phi_inv[:3, 3:], atol=1e-12)
     assert w.lam == lam
-    plain = RegularizedWeights.plain(plant.Q, plant.R)
-    assert np.array_equal(plain.q_lambda, plant.Q)
-    assert np.array_equal(plain.r_lambda, plant.R)
-    assert np.allclose(plain.cross, 0.0)
+    for plain in (RegularizedWeights.build(plant.Q, plant.R),
+                  RegularizedWeights.build(plant.Q, plant.R, phi_inv, 0.0)):
+        assert np.array_equal(plain.q_lambda, plant.Q)
+        assert np.array_equal(plain.r_lambda, plant.R)
+        assert np.array_equal(plain.cross, np.zeros((3, 3)))
+        assert plain.lam == 0.0
 
 
 def test_isotropic_regularizer_closed_form():
@@ -100,8 +108,8 @@ def test_isotropic_regularizer_closed_form():
         K = random_stabilizing_gain(plant, rng, spread=0.3)
         c = rng.uniform(0.5, 3.0)
         lam = rng.uniform(0.01, 0.5)
-        base = ce_cost(est, plant.Q, plant.R, K)
-        reg = regularized_cost(est, plant.Q, plant.R, K, (1.0 / c) * np.eye(6), lam)
+        base = regularized_cost(est, plant.Q, plant.R, K)
+        reg = regularized_cost(est, plant.Q, plant.R, K, (1.0 / c) * np.eye(6), lam).cost
         xi_trace = np.trace(K @ base.sigma @ K.T) + np.trace(base.sigma)
         assert abs(reg - base.cost - (lam / c) * xi_trace) < 1e-10 * max(1.0, reg)
 
@@ -117,7 +125,7 @@ def test_regularized_gradient_matches_finite_differences():
             G = regularized_gradient(est, plant.Q, plant.R, K, phi_inv if lam else None, lam)
             G_fd = central_fd_gradient(
                 lambda KK: regularized_cost(est, plant.Q, plant.R, KK,
-                                            phi_inv if lam else None, lam), K)
+                                            phi_inv if lam else None, lam).cost, K)
             assert np.allclose(G, G_fd, rtol=1e-5, atol=1e-6)
 
 
@@ -146,7 +154,7 @@ def test_natural_equals_vanilla_times_inverse_covariance():
         eta = rng.uniform(0.01, 0.3)
         stepped = natural_step(est, plant.Q, plant.R, K, eta)
         sigma = lqr_cost(model, K).sigma
-        grad = ce_gradient(est, plant.Q, plant.R, K)
+        grad = regularized_gradient(est, plant.Q, plant.R, K)
         expected = K - eta * grad @ np.linalg.inv(sigma)
         assert np.allclose(stepped, expected, rtol=1e-10, atol=1e-10)
 

@@ -20,10 +20,8 @@ from pgac.errors import (
     NonSymmetric,
     NotPD,
     NotStabilizing,
-    NotStabilizingForEstimate,
     RankDeficient,
 )
-from pgac.plant import evaluate_gain
 
 
 def test_constructor_validation():
@@ -108,11 +106,10 @@ def test_evaluate_gain_solve_budget_and_error_type():
     plant = benchmark_plant()
     K_star, _ = optimal_gain(plant)
     before = lyapunov_solve_count()
-    evaluate_gain(plant.A, plant.B, plant.Q, plant.R, K_star)
+    lqr_cost(plant, K_star)
     assert lyapunov_solve_count() == before + 2
-    with pytest.raises(NotStabilizingForEstimate):
-        evaluate_gain(plant.A, plant.B, plant.Q, plant.R, np.zeros((3, 3)),
-                      error=NotStabilizingForEstimate)
+    with pytest.raises(NotStabilizing):
+        lqr_cost(plant, np.zeros((3, 3)))
 
 
 def test_exact_gradient_scalar_anchor():
