@@ -90,8 +90,9 @@ class ControllerSpec:
 
     AdaptiveHewer is Gauss-Newton at eta = 1/2 and OneShotCE takes no step,
     by definition: their stepsize rule may be omitted, and any other rule is
-    rejected.  Regularization applies to the gradient-based updates;
-    OneShotCE ignores it.
+    rejected.  Regularization applies to the gradient-based updates; the
+    Riccati re-solve of OneShotCE has no use for it, so OneShotCE rejects any
+    lambda rule but ZeroLambda.
     """
 
     method: Method
@@ -138,6 +139,10 @@ class ControllerSpec:
                 )
         elif not isinstance(lam_rule, ZeroLambda):
             raise ValueError(f"unknown lambda rule {lam_rule!r}")
+        if method is Method.ONE_SHOT_CE and not isinstance(lam_rule, ZeroLambda):
+            raise RuleMismatch(
+                f"method {method.value} does not regularize, got lambda rule {lam_rule!r}"
+            )
         if self.probe_std < 0:
             raise ValueError(f"probe_std must be nonnegative, got {self.probe_std}")
 

@@ -51,6 +51,7 @@ class DataRecord:
         self._phi_inv = None
         self._updates_since_inversion = 0
         self._reinvert_every = int(reinvert_every)
+        self._derived = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -107,6 +108,7 @@ class DataRecord:
         else:
             self._wbar = t * self._wbar / (t + 1)
         self.t = t + 1
+        self._derived = {}
         self._update_inverse(phi, t)
         return self
 
@@ -134,6 +136,13 @@ class DataRecord:
         self._updates_since_inversion = 0
 
     # -- views ----------------------------------------------------------------
+
+    def cached(self, key, build):
+        """``build(self)`` for a quantity of the moments alone: built on the
+        first call after an append and shared by every call until the next."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     @property
     def has_oracle(self):

@@ -91,6 +91,12 @@ def regularized_direct_gradient(record, V, Q, R, lam=0.0, constraint_tol=1e-6):
     return 2.0 * core @ V @ ev.sigma
 
 
+def _projector(record):
+    # Pi depends on Xbar0 alone, so the stepsize rule (through scaling_matrix)
+    # and the step itself share one SVD per sample.
+    return record.cached("nullspace_projector", lambda rec: nullspace_projector(rec.xbar0))
+
+
 def projected_step(record, V, Q, R, eta, lam=0.0, constraint_tol=1e-6):
     """One projected-gradient update of the covariance policy.
 
@@ -102,8 +108,7 @@ def projected_step(record, V, Q, R, eta, lam=0.0, constraint_tol=1e-6):
     grad = regularized_direct_gradient(
         record, V, Q, R, lam=lam, constraint_tol=constraint_tol
     )
-    pi = nullspace_projector(record.xbar0)
-    V_next = V - eta * pi @ grad
+    V_next = V - eta * _projector(record) @ grad
     K_next = record.ubar @ V_next
     return V_next, K_next
 
@@ -112,8 +117,7 @@ def scaling_matrix(record):
     """The data-dependent metric M = Ubar Pi Ubar' relating one projected
     direct step to a preconditioned indirect step; positive definite with
     sigma_min(M) >= sigma_min(Phi)^2 under persistency of excitation."""
-    pi = nullspace_projector(record.xbar0)
-    return symmetrize(record.ubar @ pi @ record.ubar.T)
+    return symmetrize(record.ubar @ _projector(record) @ record.ubar.T)
 
 
 def natural_direct_step(record, K, Q, R, eta, lam=0.0):

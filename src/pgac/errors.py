@@ -66,7 +66,7 @@ class CertificateViolated(PgacError):
 
 
 class RuleMismatch(PgacError):
-    """A stepsize rule is used with a method it does not apply to."""
+    """A stepsize or lambda rule is used with a method it does not apply to."""
 
 
 class InitialGainUnstable(PgacError):

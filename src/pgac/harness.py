@@ -83,6 +83,8 @@ class ExperimentConfig:
     arrays.  ``horizon`` is the number of online steps after the ``t0``
     offline excitation samples.  ``initial_gain`` overrides the
     certainty-equivalence initialization (used by analytic protocols).
+    Treat a config as read-only once it has run: it keeps the plant and the
+    optimum that :meth:`reference` solved.
     """
 
     controller: ControllerSpec
@@ -96,6 +98,7 @@ class ExperimentConfig:
     divergence_threshold: float = 1e6
     initial_gain: object = None
     record_timing: bool = False
+    _reference: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.controller, ControllerSpec):
@@ -125,6 +128,19 @@ class ExperimentConfig:
             raise ConfigError(f"invalid explicit plant: {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"plant must be 'benchmark' or (A, B, Q, R): {exc}") from exc
+
+    def reference(self):
+        """(plant, C*): the config's plant and its optimal LQR cost.
+
+        Built and solved on the first call, then kept by the config, so the
+        trials of a config share one optimum, in pool workers too when the
+        config is sent after this call.  ``dataclasses.replace`` starts over.
+        """
+        if self._reference is None:
+            plant = self.build_plant()
+            _, opt = optimal_gain(plant)
+            self._reference = (plant, opt.cost)
+        return self._reference
 
 
 @dataclass
@@ -194,9 +210,7 @@ def run_trial(config, trial_index):
     ``horizon`` online steps of probe + feedback + policy update.  The loop
     halts when the state norm passes the divergence threshold.
     """
-    plant = config.build_plant()
-    _, opt = optimal_gain(plant)
-    cstar = opt.cost
+    plant, cstar = config.reference()
     offline_rng = trial_rng(config.seed, trial_index, OFFLINE_STREAM)
     noise_rng = trial_rng(config.seed, trial_index, NOISE_STREAM)
     probe_rng = trial_rng(config.seed, trial_index, PROBE_STREAM)
@@ -229,7 +243,8 @@ def run_trial(config, trial_index):
             avg_stage_cost=avg_curve,
         )
 
-    _, initial_gap = _gain_gap(plant, state.gain, cstar)
+    cost, gap = _gain_gap(plant, state.gain, cstar)
+    initial_gap, measured = gap, state.gain
     rows = []
     status, reason = "completed", None
     for _ in range(config.horizon):
@@ -250,7 +265,9 @@ def run_trial(config, trial_index):
             dt = 0.0
         z2_sum += float(z @ z)
         avg_curve.append(z2_sum / (len(avg_curve) + 1))
-        cost, gap = _gain_gap(plant, state.gain, cstar)
+        if state.gain is not measured:  # a skipped update leaves the gain as it was
+            measured = state.gain
+            cost, gap = _gain_gap(plant, measured, cstar)
         reading = snr_reading(state.record)
         rows.append(
             (
@@ -287,15 +304,19 @@ def run_trial(config, trial_index):
 def run_monte_carlo(config, jobs=1):
     """Run all trials of a config and aggregate.
 
-    ``jobs`` > 1 distributes trials over processes; results are collected in
-    trial order, so parallel runs emit byte-identical output.  ``jobs`` < 1
-    raises ``ConfigError``.
+    ``jobs`` > 1 distributes trials over at most ``jobs`` processes, and
+    never more processes than trials; results are collected in trial order,
+    so parallel runs emit byte-identical output.  The optimum is solved once,
+    before the pool starts, and sent to the workers with the config.
+    ``jobs`` < 1 raises ``ConfigError``.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     n = config.trials
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, n)
+    if workers > 1:
+        config.reference()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(pool.map(run_trial, itertools.repeat(config, n), range(n)))
     else:
         logs = [run_trial(config, i) for i in range(n)]

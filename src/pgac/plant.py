@@ -21,18 +21,31 @@ from .linalg import (
 )
 
 
-@dataclass
 class CostEvaluation:
     """LQR cost of a fixed gain together with its Lyapunov by-products.
 
     cost = trace((Q + K'RK) sigma) = trace(value), where sigma is the
     stationary closed-loop state covariance under unit process noise and
     value the policy-evaluation (value) matrix.
+
+    ``value`` may be given, or left to be solved from the closed loop F and
+    the stage weight W (value = W + F' value F) on its first read and kept
+    after that; an evaluation that is never asked for its value never pays
+    that solve.  Either form pickles.
     """
 
-    cost: float
-    sigma: np.ndarray
-    value: np.ndarray
+    def __init__(self, cost, sigma, value=None, closed_loop=None, weight=None):
+        self.cost = cost
+        self.sigma = sigma
+        self._value = value
+        self._closed_loop = closed_loop
+        self._weight = weight
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._value = _solve_dlyap_stable(self._closed_loop.T, self._weight)
+        return self._value
 
 
 @dataclass
@@ -139,8 +152,10 @@ def step(plant, x, u, w):
 def lqr_cost(plant, K):
     """Infinite-horizon average LQR cost of the static feedback u = Kx.
 
-    Performs exactly two Lyapunov solves (state covariance and value matrix).
-    Raises ``NotStabilizing`` when K fails to stabilize the plant.
+    Performs one Lyapunov solve (the state covariance sigma, which gives the
+    cost as trace((Q + K'RK) sigma)); the value matrix costs a second solve,
+    made on the first read of ``.value`` and not at all otherwise.  Raises
+    ``NotStabilizing`` when K fails to stabilize the plant.
     """
     K = np.asarray(K, dtype=float)
     F = plant.A + plant.B @ K
@@ -150,9 +165,8 @@ def lqr_cost(plant, K):
         )
     W = symmetrize(plant.Q + K.T @ plant.R @ K)
     sigma = _solve_dlyap_stable(F, np.eye(F.shape[0]))
-    value = _solve_dlyap_stable(F.T, W)
     cost = float(np.trace(W @ sigma))
-    return CostEvaluation(cost=cost, sigma=sigma, value=value)
+    return CostEvaluation(cost=cost, sigma=sigma, closed_loop=F, weight=W)
 
 
 def exact_gradient(plant, K):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import pgac.direct
 from oracles import identity_record, simulate_record
 from pgac import (
     ConstantStep,
@@ -78,6 +79,11 @@ def test_spec_validation_matrix():
         ControllerSpec("one_shot_ce", ConstantStep(0.1))
     with pytest.raises(RuleMismatch):
         ControllerSpec("adaptive_hewer", InverseNormM(0.2))
+    # one-shot CE re-solves the Riccati equation and has no use for lambda
+    for lam_rule in (InverseSqrtLambda(0.1), InverseSqrtLambda(0.0)):
+        with pytest.raises(RuleMismatch):
+            ControllerSpec("one_shot_ce", lambda_rule=lam_rule)
+    assert ControllerSpec("one_shot_ce", lambda_rule=ZeroLambda()) == ControllerSpec("one_shot_ce")
     hewer = ControllerSpec("adaptive_hewer", ConstantStep(0.5))
     assert hewer == ControllerSpec("adaptive_hewer")
     assert dataclasses.replace(hewer, probe_std=0.5).stepsize_rule == ConstantStep(0.5)
@@ -262,6 +268,28 @@ def test_solve_count_profile_per_advance():
     # recomputing the full design is strictly more work than any gradient step
     assert min(deltas["one_shot_ce"]) > max(max(v) for k, v in deltas.items()
                                             if k != "one_shot_ce")
+
+
+def test_direct_vanilla_builds_one_projector_per_step(monkeypatch):
+    plant = benchmark_plant()
+    built = []
+    original = pgac.direct.nullspace_projector
+    monkeypatch.setattr(pgac.direct, "nullspace_projector",
+                        lambda A: built.append(1) or original(A))
+    for lam_rule in (ZeroLambda(), InverseSqrtLambda(0.1)):
+        rng = np.random.default_rng(11)
+        spec = ControllerSpec("direct_vanilla", InverseNormM(0.2), lambda_rule=lam_rule)
+        state = initialize(spec, plant.Q, plant.R, simulate_record(plant, rng, 40))
+        x = np.zeros(3)
+        for _ in range(4):
+            u = control_input(state, x, rng.standard_normal(3))
+            w = rng.standard_normal(3)
+            x_next = plant.A @ x + plant.B @ u + w
+            del built[:]
+            advance(state, x, u, x_next, w_oracle=w)
+            assert not state.last_skipped
+            assert len(built) == 1  # shared by the stepsize rule and the step
+            x = x_next
 
 
 def test_failed_update_is_skipped_not_fatal():

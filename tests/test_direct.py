@@ -18,6 +18,7 @@ from pgac import (
     regularized_gradient,
     scaling_matrix,
 )
+from pgac.linalg import symmetrize
 from pgac.errors import ConstraintViolated, NegativeLambda, NotStabilizingForData
 from pgac.plant import LinearQuadraticPlant
 
@@ -141,6 +142,22 @@ def test_projected_descent_preserves_constraint():
         assert np.allclose(rec.ubar @ V, K, atol=1e-10)
     costs.append(regularized_direct_cost(rec, V, plant.Q, plant.R).cost)
     assert costs[-1] < costs[0]  # descent made progress
+
+
+def test_projector_is_shared_until_the_next_append():
+    plant, rec, est = fixture_record()
+    K0 = gain_for_estimate(est, plant.Q, plant.R, np.random.default_rng(107), spread=0.2)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        Pi = nullspace_projector(rec.xbar0)
+        V = parameterize(rec, K0)
+        grad = regularized_direct_gradient(rec, V, plant.Q, plant.R)
+        assert np.array_equal(scaling_matrix(rec), symmetrize(rec.ubar @ Pi @ rec.ubar.T))
+        V_next, _ = projected_step(rec, V, plant.Q, plant.R, 0.1)
+        assert np.array_equal(V_next, V - 0.1 * Pi @ grad)
+        # new moments, new projector: nothing stale survives an append
+        rec.append(rng.standard_normal(3), rng.standard_normal(3),
+                   rng.standard_normal(3), rng.standard_normal(3))
 
 
 def test_scaling_matrix_lower_bound():

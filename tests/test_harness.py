@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 import pgac
+import pgac.harness
+import pgac.plant
 from pgac import (
     ConstantStep,
     ControllerSpec,
     ExperimentConfig,
+    InverseNormM,
     InverseSqrtLambda,
     TrajectoryLog,
     ZeroLambda,
@@ -18,6 +21,8 @@ from pgac import (
     cli,
     emit_csv,
     load_config,
+    lqr_cost,
+    lyapunov_solve_count,
     loglog_slope,
     optimal_gain,
     read_trajectory_csv,
@@ -237,6 +242,10 @@ def test_config_mapping_requirements():
         config_from_mapping({"method": "one_shot_ce", "eta": "0.1"})
     with pytest.raises(ConfigError):
         config_from_mapping({"method": "adaptive_hewer", "eta": "0.3"})
+    # and lambda where the method does not regularize
+    with pytest.raises(ConfigError):
+        config_from_mapping({"method": "one_shot_ce", "lambda_rule": "inverse_sqrt",
+                             "lambda0": "0.1"})
     cfg = config_from_mapping({"method": "adaptive_hewer", "eta": "0.5"})
     assert cfg.controller == ControllerSpec("adaptive_hewer")
 
@@ -311,6 +320,10 @@ def test_cli_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("method = indirect_natural\neta = 0.2\nwhatever = 1\n")
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    one_shot = tmp_path / "one_shot.cfg"
+    one_shot.write_text("method = one_shot_ce\nlambda_rule = inverse_sqrt\nlambda0 = 0.1\n")
+    assert cli.main(["run", "--config", str(one_shot), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
     missing = tmp_path / "missing.cfg"
     assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path)]) in (2, 3)
 
@@ -334,6 +347,79 @@ def test_adaptive_hewer_is_gauss_newton_at_half_step():
         for i in range(4):
             assert (trajectory_csv_text(run_trial(hewer, i))
                     == trajectory_csv_text(run_trial(newton, i)))
+
+
+def test_monitor_solves_once_per_updated_step(monkeypatch):
+    solves = []
+
+    def counted(plant, K):
+        before = lyapunov_solve_count()
+        try:
+            return lqr_cost(plant, K)
+        finally:
+            solves.append(lyapunov_solve_count() - before)
+
+    monkeypatch.setattr(pgac.harness, "lqr_cost", counted)
+    # trial 1 of seed 2 mixes updated and skipped steps before it halts
+    cfg = small_config(controller=ControllerSpec("indirect_vanilla", ConstantStep(0.2)),
+                       seed=2)
+    log = run_trial(cfg, 1)
+    skipped = [row[9] for row in log.rows]
+    assert 0 < sum(skipped) < len(skipped)
+    # one call for the initial gain, then one per update that moved the gain;
+    # each solves once, or not at all for a gain the plant rejects (gap inf)
+    gaps = [log.initial_gap] + [row[2] for row in log.rows if not row[9]]
+    assert solves == [0 if math.isinf(gap) else 1 for gap in gaps]
+    assert 1 in solves
+    for prev, row in zip(log.rows, log.rows[1:]):
+        if row[9]:
+            assert row[1:3] == prev[1:3]
+
+
+def test_reference_optimum_is_solved_once_per_config(monkeypatch):
+    riccati, calls = [], []
+    solve = pgac.plant.solve_riccati_hewer
+    monkeypatch.setattr(pgac.plant, "solve_riccati_hewer",
+                        lambda *a, **kw: riccati.append(1) or solve(*a, **kw))
+    monkeypatch.setattr(pgac.harness, "optimal_gain",
+                        lambda p: calls.append(1) or optimal_gain(p))
+    cfg = small_config(trials=3, horizon=20)
+    summary = run_monte_carlo(cfg, jobs=1)
+    assert len(riccati) == 1 and len(calls) == 1
+    run_monte_carlo(cfg, jobs=1)
+    assert len(riccati) == 1 and len(calls) == 1  # the config keeps it
+    for log in summary.logs:
+        fresh = small_config(trials=3, horizon=20)
+        assert trajectory_csv_text(log) == trajectory_csv_text(run_trial(fresh, log.trial_index))
+
+
+def test_pool_never_outnumbers_trials(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(pgac.harness, "ProcessPoolExecutor", RecordingPool)
+    spec = ControllerSpec("direct_vanilla", InverseNormM(0.2))
+    for trials, jobs, pool in ((3, 8, [3]), (3, 2, [2]), (1, 4, []), (2, 2, [2])):
+        del sizes[:]
+        cfg = small_config(controller=spec, trials=trials, horizon=15)
+        texts = [trajectory_csv_text(lg) for lg in run_monte_carlo(cfg, jobs=jobs).logs]
+        assert sizes == pool
+        serial = run_monte_carlo(small_config(controller=spec, trials=trials, horizon=15))
+        assert texts == [trajectory_csv_text(lg) for lg in serial.logs]
 
 
 def test_cli_unwritable_output_exits_3(tmp_path):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from pgac import (
     step,
     strong_stability_certificate,
 )
+import pgac.plant
+from pgac.linalg import _solve_dlyap_stable, symmetrize
 from pgac.errors import (
     CertificateViolated,
     DimensionMismatch,
@@ -106,10 +110,39 @@ def test_evaluate_gain_solve_budget_and_error_type():
     plant = benchmark_plant()
     K_star, _ = optimal_gain(plant)
     before = lyapunov_solve_count()
-    lqr_cost(plant, K_star)
-    assert lyapunov_solve_count() == before + 2
+    ev = lqr_cost(plant, K_star)
+    assert ev.cost > 0 and ev.sigma.shape == (3, 3)
+    assert lyapunov_solve_count() == before + 1  # sigma only
+    value = ev.value
+    assert lyapunov_solve_count() == before + 2  # first read solves the value
+    assert ev.value is value
+    assert lyapunov_solve_count() == before + 2  # later reads reuse it
     with pytest.raises(NotStabilizing):
         lqr_cost(plant, np.zeros((3, 3)))
+
+
+def test_lazy_value_is_the_eager_solve(monkeypatch):
+    plant = benchmark_plant()
+    K = random_stabilizing_gain(plant, np.random.default_rng(5), spread=0.3)
+    F = plant.A + plant.B @ K
+    W = symmetrize(plant.Q + K.T @ plant.R @ K)
+    sigma = _solve_dlyap_stable(F, np.eye(3))
+    eager = _solve_dlyap_stable(F.T, W)
+    ev = lqr_cost(plant, K)
+    assert np.array_equal(ev.sigma, sigma)
+    assert ev.cost == float(np.trace(W @ sigma))
+    # a copy pickled before the read solves it the same way, through the
+    # solver as bound in pgac.plant
+    copy = pickle.loads(pickle.dumps(ev))
+    calls = []
+    monkeypatch.setattr(pgac.plant, "_solve_dlyap_stable",
+                        lambda *a: calls.append(1) or _solve_dlyap_stable(*a))
+    assert np.array_equal(ev.value, eager)
+    assert np.array_equal(copy.value, eager)
+    assert copy.cost == ev.cost and np.array_equal(copy.sigma, sigma)
+    assert len(calls) == 2
+    assert np.array_equal(pickle.loads(pickle.dumps(ev)).value, eager)
+    assert len(calls) == 2  # a solved value travels with the evaluation
 
 
 def test_exact_gradient_scalar_anchor():
