@@ -30,7 +30,7 @@ from .errors import (
     NotStabilizing,
     RuleMismatch,
 )
-from .linalg import is_stabilizing, solve_riccati_hewer
+from .linalg import solve_riccati_hewer
 
 
 class Method(str, Enum):
@@ -277,10 +277,13 @@ def _policy_update(state, eta, lam):
             state.estimate, Q, R, K, eta, phi_inv=phi_inv, lam=lam
         )
     if method is Method.ONE_SHOT_CE:
+        # Warm start from the current gain; when it, or an iterate it leads
+        # to, fails to stabilize the estimate, start over from scratch.
         est = state.estimate
-        seed = K if is_stabilizing(est.Ahat + est.Bhat @ K) else None
-        sol = solve_riccati_hewer(est.Ahat, est.Bhat, Q, R, K0=seed)
-        return sol.gain
+        try:
+            return solve_riccati_hewer(est.Ahat, est.Bhat, Q, R, K0=K).gain
+        except NotStabilizing:
+            return solve_riccati_hewer(est.Ahat, est.Bhat, Q, R).gain
     if method is Method.DIRECT_VANILLA:
         V = direct_engine.parameterize(record, K)
         _, K_next = direct_engine.projected_step(record, V, Q, R, eta, lam=lam)

@@ -11,8 +11,6 @@ per-update flop profiles of the gradient engines can be asserted in tests; see
 :func:`lyapunov_solve_count`.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonSymmetric, NoConvergence, NotPD, NotStable, NotStabilizing, RankDeficient
@@ -170,6 +168,11 @@ def initial_stabilizing_gain(A, B, Q, R, horizon=200, margin=STABILITY_MARGIN):
     ``horizon``-step finite-horizon LQR backward recursion (value iteration
     seeded at Q) and returns the resulting receding-horizon gain.
 
+    The recursion stops early once a step reproduces P bit for bit: every
+    later step would then recompute the same gain, so the result is the
+    full-horizon gain exactly.  A recursion that never repeats runs all
+    ``horizon`` steps.
+
     Raises ``NotStabilizing`` if the recursion fails to stabilize, which for
     positive-definite weights means (A, B) is not stabilizable in practice.
     """
@@ -181,15 +184,38 @@ def initial_stabilizing_gain(A, B, Q, R, horizon=200, margin=STABILITY_MARGIN):
     P = np.asarray(Q, dtype=float).copy()
     K = np.zeros((m, n))
     for _ in range(horizon):
-        G = R + B.T @ P @ B
-        K = -np.linalg.solve(G, B.T @ P @ A)
+        K = _improved_gain(A, B, R, P)
         F = A + B @ K
-        P = symmetrize(Q + K.T @ R @ K + F.T @ P @ F)
+        P_next = symmetrize(Q + K.T @ R @ K + F.T @ P @ F)
+        if np.array_equal(P_next, P):
+            break
+        P = P_next
     if not is_stabilizing(A + B @ K, margin):
         raise NotStabilizing(
             f"backward recursion over {horizon} steps did not stabilize (A, B)"
         )
     return K
+
+
+def _improved_gain(A, B, R, P):
+    # Policy improvement: the gain minimizing the one-step lookahead under P.
+    return -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+
+
+def _stable_closed_loop(A, B, K, margin):
+    F = A + B @ K
+    rho = spectral_radius(F)
+    if rho >= 1.0 - margin:
+        raise NotStabilizing(
+            f"gain gives closed-loop spectral radius {rho:.12f} >= {1.0 - margin}"
+        )
+    return F
+
+
+def _policy_value(Q, R, K, F):
+    # Policy evaluation P = Q + K'RK + F'PF for a closed loop F already
+    # checked stable; the symmetrized weight needs no symmetry check.
+    return _solve_dlyap_stable(F.T, symmetrize(Q + K.T @ R @ K))
 
 
 def hewer_iterates(A, B, Q, R, K0, margin=STABILITY_MARGIN):
@@ -198,6 +224,7 @@ def hewer_iterates(A, B, Q, R, K0, margin=STABILITY_MARGIN):
     P_i solves the policy-evaluation equation P = Q + K'RK + (A+BK)'P(A+BK)
     for the current gain, and the next gain is the improvement
     K <- -(R + B'PB)^{-1} B'PA.  The first yielded pair evaluates ``K0``.
+    Raises ``NotStabilizing`` when a gain fails to stabilize (A, B).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -205,27 +232,45 @@ def hewer_iterates(A, B, Q, R, K0, margin=STABILITY_MARGIN):
     R = np.asarray(R, dtype=float)
     K = np.asarray(K0, dtype=float)
     while True:
-        F = A + B @ K
-        P = solve_dlyap_cost(F, symmetrize(Q + K.T @ R @ K), margin=margin)
+        P = _policy_value(Q, R, K, _stable_closed_loop(A, B, K, margin))
         yield K, P
-        G = R + B.T @ P @ B
-        K = -np.linalg.solve(G, B.T @ P @ A)
+        K = _improved_gain(A, B, R, P)
 
 
-@dataclass
 class RiccatiSolution:
     """Converged output of :func:`solve_riccati_hewer`.
 
-    value_matrix is the stabilizing Riccati solution P, gain the associated
-    optimal feedback (u = gain @ x convention), iterations the number of
-    policy-improvement steps taken, and residual the Frobenius norm of the
-    fixed-point defect of the Riccati equation at P.
+    gain is the optimal feedback (u = gain @ x convention) and iterations the
+    number of policy-improvement steps taken.  value_matrix, the stabilizing
+    Riccati solution P (the value matrix of ``gain``), and residual, the
+    Frobenius norm of the fixed-point defect of the Riccati equation at P,
+    are solved on their first read and kept after that; a caller that only
+    needs the gain never pays that Lyapunov solve.
     """
 
-    value_matrix: np.ndarray
-    gain: np.ndarray
-    iterations: int
-    residual: float
+    def __init__(self, gain, iterations, A, B, Q, R, closed_loop):
+        self.gain = gain
+        self.iterations = iterations
+        self._problem = (A, B, Q, R)
+        self._closed_loop = closed_loop
+        self._value = None
+        self._residual = None
+
+    @property
+    def value_matrix(self):
+        if self._value is None:
+            _, _, Q, R = self._problem
+            self._value = _policy_value(Q, R, self.gain, self._closed_loop)
+        return self._value
+
+    @property
+    def residual(self):
+        if self._residual is None:
+            A, B, Q, R = self._problem
+            P = self.value_matrix
+            defect = Q + A.T @ P @ A + A.T @ P @ B @ _improved_gain(A, B, R, P) - P
+            self._residual = float(np.linalg.norm(defect))
+        return self._residual
 
 
 def solve_riccati_hewer(A, B, Q, R, K0=None, tol=1e-10, max_iter=500,
@@ -250,11 +295,16 @@ def solve_riccati_hewer(A, B, Q, R, K0=None, tol=1e-10, max_iter=500,
     Returns
     -------
     RiccatiSolution
+        Each of the ``iterations`` improvement steps costs one Lyapunov
+        solve; the value matrix of the converged gain is solved only when
+        ``value_matrix`` or ``residual`` is first read.
 
     Raises
     ------
     NotStabilizing
-        If ``K0`` does not stabilize (A, B).
+        If ``K0``, or any gain produced by policy improvement, does not
+        stabilize (A, B) with the stability margin; also if no ``K0`` is
+        given and :func:`initial_stabilizing_gain` fails.
     NoConvergence
         If the gain change has not dropped below ``tol`` within ``max_iter``
         improvement steps.
@@ -264,25 +314,16 @@ def solve_riccati_hewer(A, B, Q, R, K0=None, tol=1e-10, max_iter=500,
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
     if K0 is None:
-        K0 = initial_stabilizing_gain(A, B, Q, R, margin=margin)
+        # initial_stabilizing_gain has already checked this closed loop
+        K = initial_stabilizing_gain(A, B, Q, R, margin=margin)
+        F = A + B @ K
     else:
-        K0 = np.asarray(K0, dtype=float)
-        if not is_stabilizing(A + B @ K0, margin):
-            raise NotStabilizing(
-                f"K0 gives spectral radius {spectral_radius(A + B @ K0):.6f}"
-            )
-    steps = hewer_iterates(A, B, Q, R, K0, margin=margin)
-    K_prev, P = next(steps)
+        K = np.asarray(K0, dtype=float)
+        F = _stable_closed_loop(A, B, K, margin)
     for i in range(1, max_iter + 1):
-        K, P = next(steps)
-        if np.linalg.norm(K - K_prev) < tol:
-            G = R + B.T @ P @ B
-            defect = Q + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(G, B.T @ P @ A) - P
-            return RiccatiSolution(
-                value_matrix=P,
-                gain=K,
-                iterations=i,
-                residual=float(np.linalg.norm(defect)),
-            )
-        K_prev = K
+        K_next = _improved_gain(A, B, R, _policy_value(Q, R, K, F))
+        F = _stable_closed_loop(A, B, K_next, margin)
+        if np.linalg.norm(K_next - K) < tol:
+            return RiccatiSolution(K_next, i, A, B, Q, R, F)
+        K = K_next
     raise NoConvergence(f"no convergence after {max_iter} policy improvements")

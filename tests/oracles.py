@@ -8,8 +8,15 @@ to be checked against.
 
 import numpy as np
 
-from pgac import DataRecord, LinearQuadraticPlant, optimal_gain, solve_riccati_hewer
-from pgac.linalg import is_stabilizing
+from pgac import (
+    DataRecord,
+    LinearQuadraticPlant,
+    optimal_gain,
+    solve_dlyap_cost,
+    solve_riccati_hewer,
+)
+from pgac.errors import NotStabilizing
+from pgac.linalg import STABILITY_MARGIN, is_stabilizing, spectral_radius
 
 
 def central_fd_gradient(f, K, h=1e-6):
@@ -40,6 +47,63 @@ def dare_value_iteration(A, B, Q, R, tol=1e-12, max_iter=2_000_000):
             return P_next
         P = P_next
     raise RuntimeError("value iteration did not settle")
+
+
+def full_horizon_seed_gain(A, B, Q, R, horizon=200, margin=STABILITY_MARGIN):
+    """Finite-horizon backward recursion seeded at Q, run for every one of
+    ``horizon`` steps with no early stop.
+
+    Returns (K, repeat) with K the receding-horizon gain (the zero gain for
+    Schur-stable A) and ``repeat`` the first step whose P equals its
+    predecessor bit for bit, or None.  Raises ``NotStabilizing`` when K does
+    not stabilize (A, B).
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    n, m = B.shape
+    if spectral_radius(A) < 1.0 - margin:
+        return np.zeros((m, n)), None
+    P = np.asarray(Q, dtype=float).copy()
+    K = np.zeros((m, n))
+    repeat = None
+    for step in range(1, horizon + 1):
+        G = R + B.T @ P @ B
+        K = -np.linalg.solve(G, B.T @ P @ A)
+        F = A + B @ K
+        P_next = Q + K.T @ R @ K + F.T @ P @ F
+        P_next = 0.5 * (P_next + P_next.T)
+        if repeat is None and np.array_equal(P_next, P):
+            repeat = step
+        P = P_next
+    if not is_stabilizing(A + B @ K, margin):
+        raise NotStabilizing(f"{horizon}-step recursion did not stabilize (A, B)")
+    return K, repeat
+
+
+def eager_riccati_hewer(A, B, Q, R, K0, tol=1e-10, max_iter=500):
+    """Policy iteration that evaluates every gain it forms, the converged one
+    included, through the checked public Lyapunov solver.
+
+    Returns (gain, iterations, value matrix, residual) with the same
+    convergence test as :func:`pgac.solve_riccati_hewer`.
+    """
+    A, B, Q, R = (np.asarray(M, dtype=float) for M in (A, B, Q, R))
+
+    def evaluate(K):
+        W = Q + K.T @ R @ K
+        return solve_dlyap_cost(A + B @ K, 0.5 * (W + W.T))
+
+    K = np.asarray(K0, dtype=float)
+    P = evaluate(K)
+    for i in range(1, max_iter + 1):
+        K_next = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+        P = evaluate(K_next)
+        if np.linalg.norm(K_next - K) < tol:
+            G = R + B.T @ P @ B
+            defect = Q + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(G, B.T @ P @ A) - P
+            return K_next, i, P, float(np.linalg.norm(defect))
+        K = K_next
+    raise RuntimeError("policy iteration did not converge")
 
 
 def series_dlyap_closed(F, W, tol=1e-14, max_terms=200_000):

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import pgac.controller
 import pgac.direct
+import pgac.linalg
 from oracles import identity_record, simulate_record
 from pgac import (
     ConstantStep,
@@ -268,6 +270,79 @@ def test_solve_count_profile_per_advance():
     # recomputing the full design is strictly more work than any gradient step
     assert min(deltas["one_shot_ce"]) > max(max(v) for k, v in deltas.items()
                                             if k != "one_shot_ce")
+
+
+def _record_riccati_solves(monkeypatch):
+    """Replace the controller's Riccati solver with one that logs each call's
+    K0 and its solution (None when the call raised)."""
+    calls = []
+    solve = pgac.controller.solve_riccati_hewer
+
+    def logged(*args, **kwargs):
+        calls.append([kwargs.get("K0"), None])
+        calls[-1][1] = solve(*args, **kwargs)
+        return calls[-1][1]
+
+    monkeypatch.setattr(pgac.controller, "solve_riccati_hewer", logged)
+    return calls
+
+
+def test_one_shot_checks_each_closed_loop_once(monkeypatch):
+    plant = benchmark_plant()
+    rng = np.random.default_rng(11)
+    state = initialize(ControllerSpec("one_shot_ce"), plant.Q, plant.R,
+                       simulate_record(plant, rng, 40))
+    state.gain = 0.9 * state.gain
+    checks = []
+    radius = pgac.linalg.spectral_radius
+    monkeypatch.setattr(pgac.linalg, "spectral_radius",
+                        lambda F: checks.append(1) or radius(F))
+    calls = _record_riccati_solves(monkeypatch)
+    x = np.zeros(3)
+    for _ in range(4):
+        u = control_input(state, x, rng.standard_normal(3))
+        w = rng.standard_normal(3)
+        x_next = plant.A @ x + plant.B @ u + w
+        K = state.gain
+        del checks[:], calls[:]
+        advance(state, x, u, x_next, w_oracle=w)
+        assert not state.last_skipped
+        [(K0, sol)] = calls  # warm started, no retry
+        assert K0 is K
+        # K0's closed loop and that of each improved gain, once each
+        assert len(checks) == sol.iterations + 1
+        x = x_next
+
+
+def test_one_shot_failing_iterate_retries_then_skips(monkeypatch):
+    # noiseless data from x+ = (1 - 5e-10) x + u with a nearly free state
+    # weight: the warm start stabilizes, but its iterates head for an optimum
+    # whose closed loop misses the stability margin, and so does the seed
+    # recursion of the restart
+    a = 1.0 - 5e-10
+    U0 = np.array([[1.0, 0.0, 1.0, -1.0]])
+    X0 = np.array([[0.0, 1.0, 1.0, 2.0]])
+    rec = DataRecord.from_arrays(U0, X0, a * X0 + U0)
+    state = initialize(ControllerSpec("one_shot_ce"), [[1e-20]], [[1.0]], rec,
+                       K_init=[[-0.5]])
+    calls = _record_riccati_solves(monkeypatch)
+    K = state.gain
+    x, u = np.array([1.0]), np.array([0.3])
+    advance(state, x, u, a * x + u)
+    assert state.last_skipped
+    assert state.gain is K and np.array_equal(K, [[-0.5]])
+    assert [K0 is K for K0, _ in calls] == [True, False]
+    assert calls[1][0] is None and all(sol is None for _, sol in calls)
+    # the seed gain stabilizes this estimate with the margin, a later
+    # policy-iteration gain does not: initialization reports it as such
+    A = np.array([[1.3573508255546507, -0.051431637470195364],
+                  [-2.1540524430558903, 1.3100215119241474]])
+    B = np.array([[-2.9671837099839435], [-0.7600587900644338]])
+    rng = np.random.default_rng(3)
+    U0, X0 = rng.standard_normal((1, 6)), rng.standard_normal((2, 6))
+    rec = DataRecord.from_arrays(U0, X0, A @ X0 + B @ U0)
+    with pytest.raises(InitialGainUnstable):
+        initialize(ControllerSpec("one_shot_ce"), 1e-20 * np.eye(2), np.eye(1), rec)
 
 
 def test_direct_vanilla_builds_one_projector_per_step(monkeypatch):

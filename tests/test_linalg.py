@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dare_value_iteration, series_dlyap_closed, series_dlyap_cost
+import pgac.linalg
+from oracles import (
+    dare_value_iteration,
+    eager_riccati_hewer,
+    full_horizon_seed_gain,
+    series_dlyap_closed,
+    series_dlyap_cost,
+    simulate_record,
+)
 from pgac import (
+    batch_least_squares,
     benchmark_plant,
     hewer_iterates,
     initial_stabilizing_gain,
@@ -175,6 +184,122 @@ def test_initial_stabilizing_gain_paths():
     assert is_stabilizing(plant.A + plant.B @ K)
     with pytest.raises(NotStabilizing):
         initial_stabilizing_gain(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
+
+
+def _seed_steps(monkeypatch, A, B, Q, R):
+    """initial_stabilizing_gain's result (or NotStabilizing) and the number
+    of recursion steps it ran, counted by its one symmetrize call per step."""
+    steps = []
+    original = pgac.linalg.symmetrize
+    with monkeypatch.context() as patch:
+        patch.setattr(pgac.linalg, "symmetrize", lambda X: steps.append(1) or original(X))
+        try:
+            result = initial_stabilizing_gain(A, B, Q, R)
+        except NotStabilizing as exc:
+            result = exc
+    return result, len(steps)
+
+
+def test_seed_recursion_equals_full_horizon(monkeypatch):
+    plant = benchmark_plant()
+    cases = [(plant.A, plant.B, plant.Q, plant.R)]
+    rng = np.random.default_rng(606)
+    for _ in range(60):
+        # open-loop unstable, so the recursion runs
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 4))
+        cases.append((random_stable_f(rng, n, rng.uniform(1.0, 1.8)),
+                      rng.standard_normal((n, m)), random_spd(rng, n), random_spd(rng, m)))
+    for seed in range(12):
+        est = batch_least_squares(simulate_record(plant, np.random.default_rng(seed), 20))
+        cases.append((est.Ahat, est.Bhat, plant.Q, plant.R))
+    # slow scalar recursion toward P* ~ 1e-3: P never repeats within 200 steps
+    slow = (np.array([[1.0]]), np.array([[1.0]]), np.array([[1e-6]]), np.array([[1.0]]))
+    cases.append(slow)
+    compared = 0
+    for A, B, Q, R in cases:
+        try:
+            K_ref, repeat = full_horizon_seed_gain(A, B, Q, R)
+        except NotStabilizing:
+            K_ref, repeat = None, None
+        K, steps = _seed_steps(monkeypatch, A, B, Q, R)
+        if K_ref is None:
+            assert isinstance(K, NotStabilizing)
+            continue
+        assert np.array_equal(K, K_ref)
+        if spectral_radius(A) < 1.0 - 1e-9:
+            assert steps == 0
+        else:
+            assert steps == (repeat if repeat is not None else 200)
+            compared += 1
+    assert compared >= 60
+    _, repeat = full_horizon_seed_gain(*slow)
+    assert repeat is None and _seed_steps(monkeypatch, *slow)[1] == 200
+
+
+def test_seed_recursion_stops_early_on_benchmark_estimate(monkeypatch):
+    plant = benchmark_plant()
+    est = batch_least_squares(simulate_record(plant, np.random.default_rng(1), 20))
+    assert spectral_radius(est.Ahat) >= 1.0 - 1e-9  # the recursion runs
+    K, steps = _seed_steps(monkeypatch, est.Ahat, est.Bhat, plant.Q, plant.R)
+    assert steps < 20
+    assert np.array_equal(K, full_horizon_seed_gain(est.Ahat, est.Bhat, plant.Q, plant.R)[0])
+
+
+def test_riccati_solve_budget_and_lazy_value():
+    plant = benchmark_plant()
+    K_star, _ = optimal_gain(plant)
+    cases = [(plant.A, plant.B, plant.Q, plant.R, None),
+             (plant.A, plant.B, plant.Q, plant.R, 0.8 * K_star)]
+    rng = np.random.default_rng(707)
+    while len(cases) < 22:
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 4))
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        Q, R = random_spd(rng, n), random_spd(rng, m)
+        try:
+            initial_stabilizing_gain(A, B, Q, R)
+        except NotStabilizing:
+            continue
+        cases.append((A, B, Q, R, None))
+    for A, B, Q, R, K0 in cases:
+        seed = initial_stabilizing_gain(A, B, Q, R) if K0 is None else K0
+        gain, iterations, value, residual = eager_riccati_hewer(A, B, Q, R, seed)
+        before = lyapunov_solve_count()
+        sol = solve_riccati_hewer(A, B, Q, R, K0=K0)
+        assert lyapunov_solve_count() - before == sol.iterations == iterations
+        assert np.array_equal(sol.gain, gain)
+        before = lyapunov_solve_count()
+        P = sol.value_matrix
+        assert lyapunov_solve_count() - before == 1
+        assert sol.value_matrix is P and sol.residual == residual
+        assert lyapunov_solve_count() - before == 1
+        assert np.array_equal(P, value)
+        # the residual alone pays the same single solve
+        fresh = solve_riccati_hewer(A, B, Q, R, K0=K0)
+        before = lyapunov_solve_count()
+        assert fresh.residual == residual
+        assert np.array_equal(fresh.value_matrix, value)
+        assert lyapunov_solve_count() - before == 1
+
+
+def test_riccati_failing_iterate_raises_not_stabilizing():
+    # K0 = -0.5 stabilizes, but the iterates approach the optimum of a nearly
+    # cost-free, marginally stable plant, whose closed loop misses the margin
+    with pytest.raises(NotStabilizing):
+        solve_riccati_hewer([[1 - 5e-10]], [[1]], [[1e-20]], [[1]], K0=[[-0.5]])
+    it = hewer_iterates([[1 - 5e-10]], [[1]], [[1e-20]], [[1]], [[-0.5]])
+    with pytest.raises(NotStabilizing):
+        for _ in range(100):
+            next(it)
+    # the seed gain stabilizes with the margin, a later iterate does not
+    A = np.array([[1.3573508255546507, -0.051431637470195364],
+                  [-2.1540524430558903, 1.3100215119241474]])
+    B = np.array([[-2.9671837099839435], [-0.7600587900644338]])
+    Q, R = 1e-20 * np.eye(2), np.eye(1)
+    assert is_stabilizing(A + B @ initial_stabilizing_gain(A, B, Q, R))
+    with pytest.raises(NotStabilizing):
+        solve_riccati_hewer(A, B, Q, R)
 
 
 def test_riccati_scalar_anchor():
