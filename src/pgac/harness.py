@@ -6,8 +6,8 @@ Reproducibility contract: every number a trial logs is a pure function of
 counter-based streams (offline inputs, process noise, probes) keyed by
 (seed, trial_index, stream), so trials can run in any order or in parallel
 without changing a byte of output.  Wall-clock timing is the one inherently
-irreproducible quantity; it is only measured when ``record_timing`` is set,
-and the timing columns are exactly 0.0 otherwise.
+irreproducible quantity: the ``step_time_s`` column holds the update's wall
+time only when ``record_timing`` is set, and is exactly 0.0 otherwise.
 """
 
 import ast
@@ -24,7 +24,6 @@ from .controller import (
     ControllerSpec,
     InverseNormM,
     InverseSqrtLambda,
-    Method,
     ZeroLambda,
     advance,
     control_input,
@@ -207,14 +206,14 @@ def run_trial(config, trial_index):
 
     Protocol: t0 offline steps driven by white inputs (true noises logged
     for the SNR oracle), certainty-equivalence initialization, then
-    ``horizon`` online steps of probe + feedback + policy update.  The loop
-    halts when the state norm passes the divergence threshold.
+    ``horizon`` online steps of probe + feedback + policy update.  The trial
+    halts when initialization fails, or when the state norm passes the
+    divergence threshold before a step or after the last one.
     """
     plant, cstar = config.reference()
     offline_rng = trial_rng(config.seed, trial_index, OFFLINE_STREAM)
     noise_rng = trial_rng(config.seed, trial_index, NOISE_STREAM)
     probe_rng = trial_rng(config.seed, trial_index, PROBE_STREAM)
-    method = config.controller.method.value
 
     record = DataRecord(plant.m, plant.n)
     x = np.zeros(plant.n)
@@ -227,75 +226,56 @@ def run_trial(config, trial_index):
         record.append(u, x, x_next, w)
         x = x_next
 
+    rows, status, reason, initial_gap = [], "completed", None, math.inf
     try:
         state = initialize(
             config.controller, plant.Q, plant.R, record, K_init=config.initial_gain
         )
     except (InitialGainUnstable, NotPersistentlyExciting) as exc:
-        return TrajectoryLog(
-            method=method,
-            trial_index=trial_index,
-            status="halted",
-            halt_reason=f"initialization: {exc}",
-            initial_gap=math.inf,
-            final_gap=math.inf,
-            rows=[],
-            avg_stage_cost=avg_curve,
-        )
-
-    cost, gap = _gain_gap(plant, state.gain, cstar)
-    initial_gap, measured = gap, state.gain
-    rows = []
-    status, reason = "completed", None
-    for _ in range(config.horizon):
-        if np.linalg.norm(x) > config.divergence_threshold:
-            status, reason = "halted", "diverged"
-            state.halt("diverged")
-            break
-        e = probe_rng.standard_normal(plant.m)
-        u = control_input(state, x, e)
-        w = config.sigma_w * noise_rng.standard_normal(plant.n)
-        x_next, z = step(plant, x, u, w)
-        if config.record_timing:
+        status, reason = "halted", f"initialization: {exc}"
+    else:
+        cost, gap = _gain_gap(plant, state.gain, cstar)
+        initial_gap, measured = gap, state.gain
+        # ``not >`` rather than ``<=``: a NaN state norm does not halt the loop
+        while len(rows) < config.horizon and not np.linalg.norm(x) > config.divergence_threshold:
+            e = probe_rng.standard_normal(plant.m)
+            u = control_input(state, x, e)
+            w = config.sigma_w * noise_rng.standard_normal(plant.n)
+            x_next, z = step(plant, x, u, w)
             tic = time.perf_counter()
             advance(state, x, u, x_next, w)
-            dt = time.perf_counter() - tic
-        else:
-            advance(state, x, u, x_next, w)
-            dt = 0.0
-        z2_sum += float(z @ z)
-        avg_curve.append(z2_sum / (len(avg_curve) + 1))
-        if state.gain is not measured:  # a skipped update leaves the gain as it was
-            measured = state.gain
-            cost, gap = _gain_gap(plant, measured, cstar)
-        reading = snr_reading(state.record)
-        rows.append(
-            (
-                state.record.t,
-                cost,
-                gap,
-                float(np.linalg.norm(x_next)),
-                reading.gamma,
-                reading.delta,
-                reading.snr,
-                state.last_lambda,
-                state.last_eta,
-                int(state.last_skipped),
-                dt,
+            dt = time.perf_counter() - tic if config.record_timing else 0.0
+            z2_sum += float(z @ z)
+            avg_curve.append(z2_sum / (len(avg_curve) + 1))
+            if state.gain is not measured:  # a skipped update leaves the gain as it was
+                measured = state.gain
+                cost, gap = _gain_gap(plant, measured, cstar)
+            reading = snr_reading(state.record)
+            rows.append(
+                (
+                    state.record.t,
+                    cost,
+                    gap,
+                    float(np.linalg.norm(x_next)),
+                    reading.gamma,
+                    reading.delta,
+                    reading.snr,
+                    state.last_lambda,
+                    state.last_eta,
+                    int(state.last_skipped),
+                    dt,
+                )
             )
-        )
-        x = x_next
-    if status == "completed" and np.linalg.norm(x) > config.divergence_threshold:
-        status, reason = "halted", "diverged"
-        state.halt("diverged")
-    final_gap = rows[-1][2] if rows else initial_gap
+            x = x_next
+        if np.linalg.norm(x) > config.divergence_threshold:
+            status, reason = "halted", "diverged"
     return TrajectoryLog(
-        method=method,
+        method=config.controller.method.value,
         trial_index=trial_index,
         status=status,
         halt_reason=reason,
         initial_gap=initial_gap,
-        final_gap=final_gap,
+        final_gap=rows[-1][2] if rows else initial_gap,
         rows=rows,
         avg_stage_cost=avg_curve,
     )
@@ -419,19 +399,38 @@ def loglog_slope(log, t_min, t_max):
 
 # -- config files ---------------------------------------------------------------
 
-_INT_KEYS = {"t0", "T", "seed", "trials"}
-_FLOAT_KEYS = {
-    "sigma_w",
-    "sigma_u_offline",
-    "probe_std",
-    "eta",
-    "eta_coeff",
-    "lambda0",
-    "divergence_threshold",
+
+def _matrix(text):
+    arr = np.array(ast.literal_eval(text), dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
+    return arr
+
+
+# config key -> (field, parser).  Only the keys present are parsed, so the
+# dataclass fields hold the one default of every key left out.
+_SPEC_FIELDS = {"probe_std": ("probe_std", float)}
+_CONFIG_FIELDS = {
+    "t0": ("t0", int),
+    "T": ("horizon", int),
+    "seed": ("seed", int),
+    "trials": ("trials", int),
+    "sigma_w": ("sigma_w", float),
+    "sigma_u_offline": ("sigma_u_offline", float),
+    "divergence_threshold": ("divergence_threshold", float),
+    "initial_gain": ("initial_gain", _matrix),
 }
-_ARRAY_KEYS = {"A", "B", "Q", "R", "initial_gain"}
-_STR_KEYS = {"plant", "method", "eta_rule", "lambda_rule"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _ARRAY_KEYS | _STR_KEYS
+# rule key -> {rule name: (rule class, the key holding its parameter)}; the
+# first rule is the default.
+_RULES = {
+    "eta_rule": {"constant": (ConstantStep, "eta"), "inverse_norm_m": (InverseNormM, "eta_coeff")},
+    "lambda_rule": {"zero": (ZeroLambda, None), "inverse_sqrt": (InverseSqrtLambda, "lambda0")},
+}
+_PLANT_KEYS = ("A", "B", "Q", "R")
+_ALL_KEYS = {
+    "plant", "method", *_PLANT_KEYS, *_SPEC_FIELDS, *_CONFIG_FIELDS, *_RULES,
+    *(param for rules in _RULES.values() for _, param in rules.values() if param),
+}
 
 
 def parse_config_text(text):
@@ -454,37 +453,41 @@ def parse_config_text(text):
     return mapping
 
 
-def _parse_int(mapping, key, default=None):
-    if key not in mapping:
-        return default
+def _parse(mapping, key, parser):
     try:
-        return int(mapping[key])
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}': expected an integer, got {mapping[key]!r}") from exc
-
-
-def _parse_float(mapping, key, default=None):
-    if key not in mapping:
-        return default
-    try:
-        return float(mapping[key])
-    except ValueError as exc:
-        raise ConfigError(f"key '{key}': expected a number, got {mapping[key]!r}") from exc
-
-
-def _parse_array(mapping, key):
-    if key not in mapping:
-        return None
-    try:
-        value = ast.literal_eval(mapping[key])
-        arr = np.array(value, dtype=float)
+        return parser(mapping[key])
     except (ValueError, SyntaxError, TypeError) as exc:
-        raise ConfigError(
-            f"key '{key}': expected a row-major bracketed matrix, got {mapping[key]!r}"
-        ) from exc
-    if arr.ndim != 2:
-        raise ConfigError(f"key '{key}': expected a 2-d matrix, got shape {arr.shape}")
-    return arr
+        raise ConfigError(f"key '{key}': cannot parse {mapping[key]!r}: {exc}") from exc
+
+
+def _fields(mapping, table):
+    return {name: _parse(mapping, key, parse) for key, (name, parse) in table.items()
+            if key in mapping}
+
+
+def _rule(mapping, key):
+    """The rule ``key`` names, built from its parameter key.
+
+    A parameter key of another rule is rejected, and so is a missing
+    parameter, except that of the default rule: that leaves the rule to the
+    method (``eta`` under ``eta_rule = constant``).
+    """
+    rules = _RULES[key]
+    default = next(iter(rules))
+    name = mapping.get(key, default)
+    if name not in rules:
+        raise ConfigError(f"{key} must be one of {', '.join(rules)}, got {name!r}")
+    cls, param = rules[name]
+    for other, (_, other_param) in rules.items():
+        if other_param != param and other_param in mapping:
+            raise ConfigError(f"key '{other_param}' requires {key} = {other}")
+    if param is None:
+        return cls()
+    if param in mapping:
+        return cls(_parse(mapping, param, float))
+    if name == default:
+        return None
+    raise ConfigError(f"{key} = {name} requires key '{param}'")
 
 
 def config_from_mapping(mapping):
@@ -492,93 +495,27 @@ def config_from_mapping(mapping):
     unknown = set(mapping) - _ALL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    plant_kind = mapping.get("plant", "benchmark")
-    if plant_kind == "benchmark":
-        for key in ("A", "B", "Q", "R"):
-            if key in mapping:
-                raise ConfigError(
-                    f"key '{key}' is only valid with plant = explicit"
-                )
-        plant = "benchmark"
-    elif plant_kind == "explicit":
-        matrices = []
-        for key in ("A", "B", "Q", "R"):
-            arr = _parse_array(mapping, key)
-            if arr is None:
-                raise ConfigError(f"plant = explicit requires key '{key}'")
-            matrices.append(arr)
-        plant = tuple(matrices)
-    else:
-        raise ConfigError(f"plant must be 'benchmark' or 'explicit', got {plant_kind!r}")
-
+    plant = mapping.get("plant", "benchmark")
+    if plant not in ("benchmark", "explicit"):
+        raise ConfigError(f"plant must be 'benchmark' or 'explicit', got {plant!r}")
+    for key in _PLANT_KEYS:
+        if key in mapping and plant == "benchmark":
+            raise ConfigError(f"key '{key}' is only valid with plant = explicit")
+        if key not in mapping and plant == "explicit":
+            raise ConfigError(f"plant = explicit requires key '{key}'")
+    if plant == "explicit":
+        plant = tuple(_parse(mapping, key, _matrix) for key in _PLANT_KEYS)
     if "method" not in mapping:
         raise ConfigError("key 'method' is required")
-    try:
-        method = Method(mapping["method"])
-    except ValueError as exc:
-        names = ", ".join(m.value for m in Method)
-        raise ConfigError(
-            f"unknown method {mapping['method']!r}; choose one of: {names}"
-        ) from exc
-
-    eta_rule = mapping.get("eta_rule", "constant")
-    eta = _parse_float(mapping, "eta")
-    eta_coeff = _parse_float(mapping, "eta_coeff")
-    if eta_rule == "constant":
-        if eta_coeff is not None:
-            raise ConfigError("key 'eta_coeff' requires eta_rule = inverse_norm_m")
-        stepsize_rule = None if eta is None else ConstantStep(eta)
-    elif eta_rule == "inverse_norm_m":
-        if eta is not None:
-            raise ConfigError("key 'eta' requires eta_rule = constant")
-        if eta_coeff is None:
-            raise ConfigError("eta_rule = inverse_norm_m requires key 'eta_coeff'")
-        stepsize_rule = InverseNormM(eta_coeff)
-    else:
-        raise ConfigError(
-            f"eta_rule must be 'constant' or 'inverse_norm_m', got {eta_rule!r}"
-        )
-
-    lambda_rule_name = mapping.get("lambda_rule", "zero")
-    lambda0 = _parse_float(mapping, "lambda0")
-    if lambda_rule_name == "zero":
-        if lambda0 is not None:
-            raise ConfigError("key 'lambda0' requires lambda_rule = inverse_sqrt")
-        lambda_rule = ZeroLambda()
-    elif lambda_rule_name == "inverse_sqrt":
-        if lambda0 is None:
-            raise ConfigError("lambda_rule = inverse_sqrt requires key 'lambda0'")
-        lambda_rule = InverseSqrtLambda(lambda0)
-    else:
-        raise ConfigError(
-            f"lambda_rule must be 'zero' or 'inverse_sqrt', got {lambda_rule_name!r}"
-        )
-
+    stepsize_rule, lambda_rule = _rule(mapping, "eta_rule"), _rule(mapping, "lambda_rule")
     try:
         spec = ControllerSpec(
-            method=method,
-            stepsize_rule=stepsize_rule,
-            lambda_rule=lambda_rule,
-            probe_std=_parse_float(mapping, "probe_std", 1.0),
+            mapping["method"], stepsize_rule, lambda_rule, **_fields(mapping, _SPEC_FIELDS)
         )
-        return ExperimentConfig(
-            controller=spec,
-            plant=plant,
-            t0=_parse_int(mapping, "t0", 20),
-            horizon=_parse_int(mapping, "T", 1000),
-            sigma_w=_parse_float(mapping, "sigma_w", 1.0),
-            sigma_u_offline=_parse_float(mapping, "sigma_u_offline", 1.0),
-            seed=_parse_int(mapping, "seed", 0),
-            trials=_parse_int(mapping, "trials", 1),
-            divergence_threshold=_parse_float(mapping, "divergence_threshold", 1e6),
-            initial_gain=_parse_array(mapping, "initial_gain"),
-        )
-    except PgacError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-    except ValueError as exc:
+        return ExperimentConfig(controller=spec, plant=plant, **_fields(mapping, _CONFIG_FIELDS))
+    except ConfigError:
+        raise
+    except (PgacError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -190,7 +190,8 @@ def initial_stabilizing_gain(A, B, Q, R, horizon=200, margin=STABILITY_MARGIN):
         if np.array_equal(P_next, P):
             break
         P = P_next
-    if not is_stabilizing(A + B @ K, margin):
+    # an unstabilizable mode can overflow P, which leaves a NaN gain
+    if not (np.isfinite(K).all() and is_stabilizing(A + B @ K, margin)):
         raise NotStabilizing(
             f"backward recursion over {horizon} steps did not stabilize (A, B)"
         )

@@ -128,6 +128,36 @@ def test_tiny_divergence_threshold_halts_immediately():
     assert log.halt_reason == "diverged"
     assert log.rows == []
     assert log.final_gap == log.initial_gap
+    # noiseless x+ = 2x + u under u = x/2: the one step multiplies |x| by 2.5,
+    # so a threshold of |x1|/2 is passed only after it, |x1|/3 already before
+    plant = tuple(np.array([[v]]) for v in (2.0, 1.0, 1.0, 1.0))
+    spec = ControllerSpec("indirect_natural", ConstantStep(0.2), probe_std=0.0)
+
+    def one_step(threshold):
+        return run_trial(small_config(controller=spec, plant=plant, sigma_w=0.0, t0=5,
+                                      horizon=1, initial_gain=np.array([[0.5]]),
+                                      divergence_threshold=threshold), 0)
+
+    full = one_step(1e6)
+    assert full.status == "completed" and len(full.rows) == 1
+    x1 = full.rows[0][3]
+    after = one_step(x1 / 2)
+    assert (after.status, after.halt_reason) == ("halted", "diverged")
+    assert after.rows == full.rows
+    assert after.final_gap == full.rows[0][2]
+    before = one_step(x1 / 3)
+    assert (before.status, before.halt_reason) == ("halted", "diverged")
+    assert before.rows == []
+
+
+def test_initialization_failure_halts_with_empty_log():
+    # one offline sample cannot identify (A, B): the record is not persistently exciting
+    log = run_trial(small_config(t0=1), 0)
+    assert log.status == "halted"
+    assert log.halt_reason.startswith("initialization:")
+    assert log.rows == []
+    assert log.initial_gap == log.final_gap == math.inf
+    assert log.avg_stage_cost == []
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -248,10 +278,30 @@ def test_config_mapping_requirements():
                              "lambda0": "0.1"})
     cfg = config_from_mapping({"method": "adaptive_hewer", "eta": "0.5"})
     assert cfg.controller == ControllerSpec("adaptive_hewer")
+    base = {"method": "direct_vanilla", "eta": "0.1"}
+    for changes in (
+        {"T": "1.5"},
+        {"eta": "fast"},
+        {"initial_gain": "[1.0, 2.0, 3.0]"},  # 1-d
+        {"initial_gain": "[[1.0, 2.0]"},  # unparsable
+        {"eta_rule": "linear"},
+        {"lambda_rule": "exponential"},
+        {"plant": "pendulum"},
+        {"method": "policy_iteration"},
+        {"eta_rule": "constant", "eta_coeff": "0.2"},
+        {"eta_rule": "inverse_norm_m", "eta": None},  # without eta_coeff
+        {"method": "adaptive_hewer", "eta_rule": "inverse_norm_m", "eta": None},
+        {"eta": "0"},
+    ):
+        mapping = {k: v for k, v in {**base, **changes}.items() if v is not None}
+        with pytest.raises(ConfigError):
+            config_from_mapping(mapping)
 
 
 def test_config_mapping_defaults_and_explicit_plant():
     cfg = config_from_mapping({"method": "indirect_natural", "eta": "0.2"})
+    assert cfg == ExperimentConfig(
+        controller=ControllerSpec("indirect_natural", ConstantStep(0.2)))
     assert cfg.t0 == 20 and cfg.horizon == 1000
     assert cfg.seed == 0 and cfg.trials == 1
     assert cfg.controller.stepsize_rule == ConstantStep(0.2)
@@ -278,6 +328,17 @@ def test_load_config_with_overrides(tmp_path):
     cfg = load_config(str(path), overrides={"trials": 3, "seed": None})
     assert cfg.trials == 3
     assert cfg.seed == 0  # None overrides are ignored
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme) as fh:
+        example = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.cfg"
+    path.write_text(example)
+    cfg = load_config(str(path))
+    assert cfg.controller == ControllerSpec("direct_vanilla", InverseNormM(0.2))
+    assert (cfg.trials, cfg.seed) == (20, 7)
 
 
 def test_step_timing_column_is_opt_in():
@@ -320,6 +381,10 @@ def test_cli_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("method = indirect_natural\neta = 0.2\nwhatever = 1\n")
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    malformed = tmp_path / "malformed.cfg"
+    malformed.write_text("method = indirect_natural\neta = 0.2\nT = 1.5\n")
+    assert cli.main(["run", "--config", str(malformed), "--out", str(tmp_path / "m")]) == 2
+    assert not (tmp_path / "m").exists()
     one_shot = tmp_path / "one_shot.cfg"
     one_shot.write_text("method = one_shot_ce\nlambda_rule = inverse_sqrt\nlambda0 = 0.1\n")
     assert cli.main(["run", "--config", str(one_shot), "--out", str(tmp_path / "o")]) == 2

@@ -184,6 +184,15 @@ def test_initial_stabilizing_gain_paths():
     assert is_stabilizing(plant.A + plant.B @ K)
     with pytest.raises(NotStabilizing):
         initial_stabilizing_gain(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
+    # an unstabilizable mode fast enough to overflow P within the horizon
+    for A, B in ((np.array([[100.0]]), np.array([[0.0]])),
+                 (np.diag([100.0, 0.5]), np.array([[0.0], [1.0]]))):
+        n, m = B.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotStabilizing):
+                initial_stabilizing_gain(A, B, np.eye(n), np.eye(m))
+            with pytest.raises(NotStabilizing):
+                solve_riccati_hewer(A, B, np.eye(n), np.eye(m))
 
 
 def _seed_steps(monkeypatch, A, B, Q, R):
