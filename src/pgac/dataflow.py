@@ -34,7 +34,9 @@ class DataRecord:
     ``NotPersistentlyExciting``.
 
     Single-writer: ``append`` mutates; use :meth:`copy` to snapshot for
-    concurrent readers.
+    concurrent readers.  ``append`` replaces ``phi``, ``xbar1`` and ``wbar``
+    with new arrays and never writes into them, so an array read at one
+    step keeps that step's value; the harness's monitor relies on this.
     """
 
     def __init__(self, m, n, reinvert_every=1000):
@@ -264,17 +266,33 @@ def snr_reading(record):
         raise OracleUnavailable(
             "true process noise was not logged for every sample"
         )
-    gamma = _sigma_min_psd(record.phi)
-    delta = float(np.linalg.norm(record.wbar, 2))
-    snr = math.inf if delta == 0.0 else gamma / delta
-    return SnrReading(gamma=gamma, delta=delta, snr=snr)
+    gamma, delta, snr = snr_readings(record.phi[None], record.wbar[None])
+    return SnrReading(gamma=float(gamma[0]), delta=float(delta[0]), snr=float(snr[0]))
+
+
+def snr_readings(phis, wbars):
+    """(gamma, delta, snr) arrays for a (k, d, d) stack of sample covariances
+    and the matching (k, n, d) stack of noise cross moments, as kept by
+    records that logged every true noise.
+
+    One stacked eigensolve and one stacked SVD for the whole stack; each
+    entry is bitwise what :func:`snr_reading` gives for that record.
+    """
+    gamma = _sigma_min_psd(phis)
+    # the spectral norm, as np.linalg.norm(wbar, 2) takes it: the largest of
+    # the singular values, which come sorted in descending order
+    delta = np.linalg.svd(wbars, compute_uv=False)[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        snr = np.where(delta == 0.0, math.inf, gamma / delta)
+    return gamma, delta, snr
 
 
 def _sigma_min_psd(S):
-    # Smallest singular value of the (symmetric PSD) sample covariance; the
-    # symmetric eigensolver is cheaper than a general SVD and agrees for PSD
-    # input up to roundoff.  Clamp tiny negative eigenvalues from roundoff.
-    return float(max(np.linalg.eigvalsh(S)[0], 0.0))
+    # Smallest singular value of the (symmetric PSD) sample covariance, or of
+    # each in a stack; the symmetric eigensolver is cheaper than a general SVD
+    # and agrees for PSD input up to roundoff.  Clamp tiny negative
+    # eigenvalues from roundoff.
+    return np.maximum(np.linalg.eigvalsh(S)[..., 0], 0.0)
 
 
 def pe_check(record, gamma_floor):

@@ -24,16 +24,21 @@ _lyap_solves = 0
 
 
 def lyapunov_solve_count():
-    """Total number of discrete Lyapunov solves performed in this process."""
+    """Total number of discrete Lyapunov solves performed in this process.
+
+    A stacked solve of many systems in one call counts once.
+    """
     return _lyap_solves
 
 
 def spectral_radius(F):
-    """Largest eigenvalue magnitude of a square matrix."""
+    """Largest eigenvalue magnitude of a square matrix: a float for an
+    (n, n) matrix, an array of one radius per matrix for a (..., n, n) stack."""
     F = np.asarray(F, dtype=float)
-    if F.ndim != 2 or F.shape[0] != F.shape[1]:
+    if F.ndim < 2 or F.shape[-1] != F.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {F.shape}")
-    return float(np.max(np.abs(np.linalg.eigvals(F))))
+    rho = np.max(np.abs(np.linalg.eigvals(F)), axis=-1)
+    return float(rho) if F.ndim == 2 else rho
 
 
 def is_stabilizing(F, margin=STABILITY_MARGIN):
@@ -42,8 +47,9 @@ def is_stabilizing(F, margin=STABILITY_MARGIN):
 
 
 def symmetrize(X):
-    """Orthogonal projection onto the symmetric matrices, (X + X') / 2."""
-    return 0.5 * (X + X.T)
+    """Orthogonal projection onto the symmetric matrices, (X + X') / 2, of a
+    matrix or of each matrix in a (..., n, n) stack."""
+    return 0.5 * (X + X.swapaxes(-1, -2))
 
 
 def _require_symmetric(W, name, tol=_SYM_TOL):
@@ -54,21 +60,28 @@ def _require_symmetric(W, name, tol=_SYM_TOL):
 
 
 def _kron_square(F):
-    # np.kron(F, F) for a square F, assembled by broadcasting; identical
-    # entries, much less per-call overhead at the sizes used here.
-    n = F.shape[0]
-    return (F[:, None, :, None] * F[None, :, None, :]).reshape(n * n, n * n)
+    # np.kron(F, F) for a square F, or for each F of a (..., n, n) stack,
+    # assembled by broadcasting; identical entries, much less per-call
+    # overhead at the sizes used here.
+    n = F.shape[-1]
+    kron = F[..., :, None, :, None] * F[..., None, :, None, :]
+    return kron.reshape(*F.shape[:-2], n * n, n * n)
 
 
 def _solve_dlyap_stable(F, W):
     # Core linear solve behind solve_dlyap_closed, for callers that have
-    # already verified stability of F and symmetry of W.
+    # already verified stability of F and symmetry of W.  F and W may be
+    # (..., n, n) stacks that broadcast against each other: numpy's stacked
+    # solve runs the same LAPACK routine on each system, so every slice is
+    # bitwise the 2-D answer.  One call counts as one solve.
     global _lyap_solves
-    n = F.shape[0]
+    n = F.shape[-1]
     lhs = np.eye(n * n) - _kron_square(F)
-    x = np.linalg.solve(lhs, W.reshape(-1, order="F"))
+    vec_w = W.swapaxes(-1, -2).reshape(*W.shape[:-2], n * n, 1)
+    x = np.linalg.solve(lhs, vec_w)
     _lyap_solves += 1
-    return symmetrize(x.reshape((n, n), order="F"))
+    # x holds vec(X) column-major, so this reshape is X', symmetrized alike
+    return symmetrize(x.reshape(*x.shape[:-2], n, n))
 
 
 def solve_dlyap_closed(F, W, margin=STABILITY_MARGIN):
@@ -174,7 +187,8 @@ def initial_stabilizing_gain(A, B, Q, R, horizon=200, margin=STABILITY_MARGIN):
     ``horizon`` steps.
 
     Raises ``NotStabilizing`` if the recursion fails to stabilize, which for
-    positive-definite weights means (A, B) is not stabilizable in practice.
+    positive-definite weights means (A, B) is not stabilizable in practice,
+    or as soon as P overflows (an unstabilizable mode that grows fast).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -183,15 +197,19 @@ def initial_stabilizing_gain(A, B, Q, R, horizon=200, margin=STABILITY_MARGIN):
         return np.zeros((m, n))
     P = np.asarray(Q, dtype=float).copy()
     K = np.zeros((m, n))
-    for _ in range(horizon):
-        K = _improved_gain(A, B, R, P)
-        F = A + B @ K
-        P_next = symmetrize(Q + K.T @ R @ K + F.T @ P @ F)
-        if np.array_equal(P_next, P):
-            break
-        P = P_next
-    # an unstabilizable mode can overflow P, which leaves a NaN gain
-    if not (np.isfinite(K).all() and is_stabilizing(A + B @ K, margin)):
+    finite = True
+    # an unstabilizable mode can overflow P: stop at the first non-finite P
+    # rather than run on inf/NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(horizon):
+            K = _improved_gain(A, B, R, P)
+            F = A + B @ K
+            P_next = symmetrize(Q + K.T @ R @ K + F.T @ P @ F)
+            finite = np.isfinite(P_next).all()
+            if not finite or np.array_equal(P_next, P):
+                break
+            P = P_next
+    if not (finite and is_stabilizing(A + B @ K, margin)):
         raise NotStabilizing(
             f"backward recursion over {horizon} steps did not stabilize (A, B)"
         )

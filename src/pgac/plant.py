@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import CertificateViolated, DimensionMismatch, NotStabilizing, RankDeficient
 from .linalg import (
+    STABILITY_MARGIN,
     _solve_dlyap_stable,
-    is_stabilizing,
     solve_riccati_hewer,
     spectral_radius,
     sqrt_spd,
@@ -149,6 +149,33 @@ def step(plant, x, u, w):
     return x_next, z
 
 
+def _stacked_cost(plant, K):
+    # Closed loops F, their spectral radii, stage weights W and costs of a
+    # (k, m, n) stack of gains, with the covariances sigma of the gains that
+    # stabilize the plant (in stack order) from one stacked Lyapunov solve,
+    # or none at all when no gain does.  A cost is inf where sigma is missing.
+    F = plant.A + plant.B @ K
+    rho = spectral_radius(F)
+    stable = rho < 1.0 - STABILITY_MARGIN
+    W = symmetrize(plant.Q + K.swapaxes(-1, -2) @ plant.R @ K)
+    cost = np.full(len(K), np.inf)
+    sigma = None
+    if stable.any():
+        sigma = _solve_dlyap_stable(F[stable], np.eye(plant.n))
+        cost[stable] = np.trace(W[stable] @ sigma, axis1=-2, axis2=-1)
+    return F, rho, W, cost, sigma
+
+
+def true_costs(plant, gains):
+    """Infinite-horizon average LQR cost of each gain in a (k, m, n) stack,
+    inf for a gain that does not stabilize the plant with the standard margin.
+
+    Costs the stabilizing gains with one stacked Lyapunov solve (none when
+    no gain stabilizes); each cost is bitwise the one :func:`lqr_cost` gives.
+    """
+    return _stacked_cost(plant, np.asarray(gains, dtype=float))[3]
+
+
 def lqr_cost(plant, K):
     """Infinite-horizon average LQR cost of the static feedback u = Kx.
 
@@ -157,16 +184,10 @@ def lqr_cost(plant, K):
     made on the first read of ``.value`` and not at all otherwise.  Raises
     ``NotStabilizing`` when K fails to stabilize the plant.
     """
-    K = np.asarray(K, dtype=float)
-    F = plant.A + plant.B @ K
-    if not is_stabilizing(F):
-        raise NotStabilizing(
-            f"gain gives closed-loop spectral radius {spectral_radius(F):.6f}"
-        )
-    W = symmetrize(plant.Q + K.T @ plant.R @ K)
-    sigma = _solve_dlyap_stable(F, np.eye(F.shape[0]))
-    cost = float(np.trace(W @ sigma))
-    return CostEvaluation(cost=cost, sigma=sigma, closed_loop=F, weight=W)
+    F, rho, W, cost, sigma = _stacked_cost(plant, np.asarray(K, dtype=float)[None])
+    if sigma is None:
+        raise NotStabilizing(f"gain gives closed-loop spectral radius {rho[0]:.6f}")
+    return CostEvaluation(cost=float(cost[0]), sigma=sigma[0], closed_loop=F[0], weight=W[0])
 
 
 def exact_gradient(plant, K):

@@ -6,16 +6,26 @@ these routines only exist so the fast library code has something honest
 to be checked against.
 """
 
+import math
+
 import numpy as np
 
 from pgac import (
     DataRecord,
     LinearQuadraticPlant,
+    TrajectoryLog,
+    advance,
+    control_input,
+    initialize,
+    lqr_cost,
     optimal_gain,
+    snr_reading,
     solve_dlyap_cost,
     solve_riccati_hewer,
+    step,
 )
-from pgac.errors import NotStabilizing
+from pgac.errors import InitialGainUnstable, NotPersistentlyExciting, NotStabilizing
+from pgac.harness import NOISE_STREAM, OFFLINE_STREAM, PROBE_STREAM, trial_rng
 from pgac.linalg import STABILITY_MARGIN, is_stabilizing, spectral_radius
 
 
@@ -219,3 +229,62 @@ def identity_record(m, n):
     X0 = D[m:]
     X1 = np.zeros((n, d))
     return DataRecord.from_arrays(U0, X0, X1, W0=np.zeros((n, d)))
+
+
+def per_step_monitor_trial(config, trial_index):
+    """The trial protocol of :func:`pgac.run_trial` with the monitor run after
+    every step: ``lqr_cost`` of the gain whenever an update moved it (inf
+    cost and gap when the plant rejects it) and ``snr_reading`` of the record.
+    The step time column is always 0.0.
+    """
+    plant = config.build_plant()
+    cstar = optimal_gain(plant)[1].cost
+    offline_rng = trial_rng(config.seed, trial_index, OFFLINE_STREAM)
+    noise_rng = trial_rng(config.seed, trial_index, NOISE_STREAM)
+    probe_rng = trial_rng(config.seed, trial_index, PROBE_STREAM)
+
+    def cost_gap(K):
+        try:
+            cost = lqr_cost(plant, K).cost
+        except NotStabilizing:
+            return math.inf, math.inf
+        return cost, (cost - cstar) / cstar
+
+    record = DataRecord(plant.m, plant.n)
+    x = np.zeros(plant.n)
+    for _ in range(config.t0):
+        u = config.sigma_u_offline * offline_rng.standard_normal(plant.m)
+        w = config.sigma_w * noise_rng.standard_normal(plant.n)
+        x_next, _ = step(plant, x, u, w)
+        record.append(u, x, x_next, w)
+        x = x_next
+    rows, status, reason, initial_gap = [], "completed", None, math.inf
+    try:
+        state = initialize(config.controller, plant.Q, plant.R, record,
+                           K_init=config.initial_gain)
+    except (InitialGainUnstable, NotPersistentlyExciting) as exc:
+        status, reason = "halted", f"initialization: {exc}"
+    else:
+        cost, gap = cost_gap(state.gain)
+        initial_gap, measured = gap, state.gain
+        while len(rows) < config.horizon and not np.linalg.norm(x) > config.divergence_threshold:
+            e = probe_rng.standard_normal(plant.m)
+            u = control_input(state, x, e)
+            w = config.sigma_w * noise_rng.standard_normal(plant.n)
+            x_next, _ = step(plant, x, u, w)
+            advance(state, x, u, x_next, w)
+            if state.gain is not measured:
+                measured = state.gain
+                cost, gap = cost_gap(measured)
+            reading = snr_reading(state.record)
+            rows.append((state.record.t, cost, gap, float(np.linalg.norm(x_next)),
+                         reading.gamma, reading.delta, reading.snr, state.last_lambda,
+                         state.last_eta, int(state.last_skipped), 0.0))
+            x = x_next
+        if np.linalg.norm(x) > config.divergence_threshold:
+            status, reason = "halted", "diverged"
+    return TrajectoryLog(
+        method=config.controller.method.value, trial_index=trial_index, status=status,
+        halt_reason=reason, initial_gap=initial_gap,
+        final_gap=rows[-1][2] if rows else initial_gap, rows=rows,
+    )

@@ -12,6 +12,7 @@ from pgac import (
     rls_update,
     snr_reading,
 )
+from pgac.dataflow import snr_readings
 from pgac.errors import NotPersistentlyExciting, OracleUnavailable
 
 
@@ -195,3 +196,47 @@ def test_snr_requires_noise_log():
     assert not rec.has_oracle
     with pytest.raises(OracleUnavailable):
         snr_reading(rec)
+
+
+def test_stacked_snr_readings_equal_per_record():
+    plant = benchmark_plant()
+    rng = np.random.default_rng(41)
+    records = [simulate_record(plant, rng, int(t)) for t in rng.integers(1, 60, size=100)]
+    records[3] = identity_record(3, 3)  # zero noise moment: infinite SNR
+    for k in (1, 7, 100):
+        batch = records[:k]
+        gamma, delta, snr = snr_readings(np.stack([r.phi for r in batch]),
+                                         np.stack([r.wbar for r in batch]))
+        for i, rec in enumerate(batch):
+            reading = snr_reading(rec)
+            assert (gamma[i], delta[i], snr[i]) == (reading.gamma, reading.delta, reading.snr)
+            # the per-matrix formulas: sigma_min of the PSD covariance from
+            # its symmetric eigensolve, clamped at 0, and the spectral norm
+            g = max(float(np.linalg.eigvalsh(rec.phi)[0]), 0.0)
+            d = float(np.linalg.norm(rec.wbar, 2))
+            assert (reading.gamma, reading.delta) == (g, d)
+            assert reading.snr == (np.inf if d == 0.0 else g / d)
+    assert snr_reading(records[3]).snr == np.inf
+
+
+def test_appends_replace_record_arrays_and_never_mutate_them():
+    plant = benchmark_plant()
+    U0, X0, X1, W0 = simulate_columns(plant, np.random.default_rng(8), 40)
+    rec = DataRecord(3, 3, reinvert_every=5)  # crosses several dense re-inversions
+    kept = []
+    for j in range(40):
+        # the noise log lapses for a few steps: the other branch of wbar's update
+        rec.append(U0[:, j], X0[:, j], X1[:, j], None if 20 <= j < 23 else W0[:, j])
+        arrays = (rec.phi, rec.xbar1, rec.wbar)
+        if kept:
+            assert all(new is not old for new, old in zip(arrays, kept[-1][0]))
+        kept.append((arrays, tuple(a.copy() for a in arrays)))
+        if j == 30:
+            snapshot = rec.copy()
+            snap = [(a, a.copy()) for a in (snapshot.phi, snapshot.xbar1, snapshot.wbar)]
+            assert all(a is not b for (a, _), b in zip(snap, arrays))
+    for j in range(31, 40):
+        snapshot.append(U0[:, j], X0[:, j], X1[:, j], W0[:, j])
+    for arrays, values in kept:
+        assert all(np.array_equal(a, v) for a, v in zip(arrays, values))
+    assert all(np.array_equal(a, v) for a, v in snap)

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import per_step_monitor_trial
+
 import pgac
 import pgac.harness
 import pgac.plant
@@ -415,30 +417,73 @@ def test_adaptive_hewer_is_gauss_newton_at_half_step():
 
 
 def test_monitor_solves_once_per_updated_step(monkeypatch):
-    solves = []
+    systems = []
+    solve = pgac.plant._solve_dlyap_stable
 
-    def counted(plant, K):
-        before = lyapunov_solve_count()
-        try:
-            return lqr_cost(plant, K)
-        finally:
-            solves.append(lyapunov_solve_count() - before)
+    def counted(F, W):
+        systems.append(len(F))  # the monitor solves (k, n, n) stacks
+        return solve(F, W)
 
-    monkeypatch.setattr(pgac.harness, "lqr_cost", counted)
     # trial 1 of seed 2 mixes updated and skipped steps before it halts
     cfg = small_config(controller=ControllerSpec("indirect_vanilla", ConstantStep(0.2)),
                        seed=2)
+    cfg.reference()  # the optimum's own solve is not the monitor's
+    monkeypatch.setattr(pgac.plant, "_solve_dlyap_stable", counted)
     log = run_trial(cfg, 1)
     skipped = [row[9] for row in log.rows]
     assert 0 < sum(skipped) < len(skipped)
-    # one call for the initial gain, then one per update that moved the gain;
-    # each solves once, or not at all for a gain the plant rejects (gap inf)
+    # the initial gain, then each gain an update moved: one system for each
+    # that stabilizes the plant (finite gap), none for a gain the plant
+    # rejects and none for a skipped step
     gaps = [log.initial_gap] + [row[2] for row in log.rows if not row[9]]
-    assert solves == [0 if math.isinf(gap) else 1 for gap in gaps]
-    assert 1 in solves
+    stable = [not math.isinf(gap) for gap in gaps]
+    assert sum(systems) == sum(stable) > 0
+    # the initial gain alone, then one stacked call for the trial's few rows
+    assert systems == [n for n in (int(stable[0]), sum(stable[1:])) if n]
     for prev, row in zip(log.rows, log.rows[1:]):
         if row[9]:
             assert row[1:3] == prev[1:3]
+
+
+def _wide_plant():
+    # criterion 09's 12-state, 4-input plant
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((12, 12))
+    A *= 0.7 / max(abs(np.linalg.eigvals(A)))
+    return (A, rng.standard_normal((12, 4)), np.eye(12), np.eye(4))
+
+
+def test_stacked_monitor_equals_per_step_monitor():
+    specs = [
+        ControllerSpec("indirect_vanilla", ConstantStep(0.2)),
+        ControllerSpec("indirect_natural", ConstantStep(0.2), InverseSqrtLambda(0.1)),
+        ControllerSpec("indirect_gauss_newton", ConstantStep(0.3)),
+        ControllerSpec("adaptive_hewer"),
+        ControllerSpec("direct_vanilla", InverseNormM(0.2)),
+        ControllerSpec("direct_natural", ConstantStep(0.2), InverseSqrtLambda(0.1)),
+        ControllerSpec("one_shot_ce"),
+    ]
+    # seed 1: trial 0 starts from a gain that does not stabilize the plant,
+    # and trial 1 runs 900 steps, past two batch boundaries (404 steps at
+    # n = 3); seed 2 trial 1 skips some steps before it halts; on the
+    # 12-state plant every batch is a single step
+    cases = [(ExperimentConfig(controller=spec, horizon=900, seed=1), (0, 1)) for spec in specs]
+    cases.append((small_config(controller=specs[0], seed=2), (1,)))
+    for spec in (specs[0], specs[2]):
+        cases.append((small_config(controller=spec, plant=_wide_plant(), horizon=20), (0,)))
+    logs = []
+    for cfg, trials in cases:
+        for i in trials:
+            log = run_trial(cfg, i)
+            assert trajectory_csv_text(log) == trajectory_csv_text(per_step_monitor_trial(cfg, i))
+            logs.append(log)
+    methods = {log.method for log in logs}
+    assert len(methods) == 7
+    assert any(log.status == "halted" for log in logs)
+    assert any(log.status == "completed" for log in logs)
+    assert any(math.isinf(log.initial_gap) for log in logs)
+    assert any(0 < sum(row[9] for row in log.rows) < len(log.rows) for log in logs)
+    assert max(len(log.rows) for log in logs) > 2 * 404
 
 
 def test_reference_optimum_is_solved_once_per_config(monkeypatch):
@@ -478,7 +523,11 @@ def test_pool_never_outnumbers_trials(monkeypatch):
 
     monkeypatch.setattr(pgac.harness, "ProcessPoolExecutor", RecordingPool)
     spec = ControllerSpec("direct_vanilla", InverseNormM(0.2))
-    for trials, jobs, pool in ((3, 8, [3]), (3, 2, [2]), (1, 4, []), (2, 2, [2])):
+    # (CPUs, trials, jobs, pool sizes started); os.cpu_count may return None
+    for cpus, trials, jobs, pool in ((8, 3, 8, [3]), (8, 3, 2, [2]), (8, 1, 4, []),
+                                     (8, 2, 2, [2]), (2, 3, 10_000, [2]), (1, 3, 8, []),
+                                     (None, 3, 8, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         del sizes[:]
         cfg = small_config(controller=spec, trials=trials, horizon=15)
         texts = [trajectory_csv_text(lg) for lg in run_monte_carlo(cfg, jobs=jobs).logs]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from pgac import (
     sqrt_spd,
 )
 from pgac.errors import NoConvergence, NonSymmetric, NotPD, NotStabilizing, NotStable, RankDeficient
-from pgac.linalg import is_stabilizing, symmetrize
+from pgac.linalg import _solve_dlyap_stable, is_stabilizing, symmetrize
 
 
 def random_stable_f(rng, n, target_radius):
@@ -103,6 +104,29 @@ def test_spectral_radius_benchmark():
     assert abs(spectral_radius(A) - (1.01 + 0.01 * math.sqrt(2.0))) < 1e-12
     with pytest.raises(ValueError):
         spectral_radius(np.zeros((2, 3)))
+
+
+def test_stacked_kernels_equal_per_matrix_calls():
+    rng = np.random.default_rng(77)
+    for n in (1, 3, 5, 12):
+        for k in (1, 7, 100):
+            F = np.stack([random_stable_f(rng, n, rng.uniform(0.1, 0.99)) for _ in range(k)])
+            W = np.stack([random_spd(rng, n) for _ in range(k)])
+            rho = spectral_radius(F)
+            assert rho.shape == (k,)
+            before = lyapunov_solve_count()
+            X = _solve_dlyap_stable(F, W)
+            shared = _solve_dlyap_stable(F, np.eye(n))  # one W for every F
+            assert lyapunov_solve_count() == before + 2  # a stacked call counts once
+            assert X.shape == shared.shape == (k, n, n)
+            for i in range(k):
+                assert rho[i] == spectral_radius(F[i])
+                assert np.array_equal(X[i], _solve_dlyap_stable(F[i], W[i]))
+                assert np.array_equal(shared[i], _solve_dlyap_stable(F[i], np.eye(n)))
+    # the 2-D forms keep their types
+    assert isinstance(spectral_radius(0.5 * np.eye(2)), float)
+    with pytest.raises(ValueError):
+        spectral_radius(np.zeros((4, 2, 3)))
 
 
 def test_is_stabilizing_margin():
@@ -184,11 +208,13 @@ def test_initial_stabilizing_gain_paths():
     assert is_stabilizing(plant.A + plant.B @ K)
     with pytest.raises(NotStabilizing):
         initial_stabilizing_gain(np.array([[2.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
-    # an unstabilizable mode fast enough to overflow P within the horizon
+    # an unstabilizable mode fast enough to overflow P within the horizon:
+    # the recursion stops at the first non-finite P, before numpy warns
     for A, B in ((np.array([[100.0]]), np.array([[0.0]])),
                  (np.diag([100.0, 0.5]), np.array([[0.0], [1.0]]))):
         n, m = B.shape
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NotStabilizing):
                 initial_stabilizing_gain(A, B, np.eye(n), np.eye(m))
             with pytest.raises(NotStabilizing):

@@ -18,6 +18,7 @@ from pgac import (
 )
 import pgac.plant
 from pgac.linalg import _solve_dlyap_stable, symmetrize
+from pgac.plant import true_costs
 from pgac.errors import (
     CertificateViolated,
     DimensionMismatch,
@@ -119,6 +120,40 @@ def test_evaluate_gain_solve_budget_and_error_type():
     assert lyapunov_solve_count() == before + 2  # later reads reuse it
     with pytest.raises(NotStabilizing):
         lqr_cost(plant, np.zeros((3, 3)))
+
+
+def test_true_costs_equal_lqr_cost_per_gain(monkeypatch):
+    rng = np.random.default_rng(12)
+    A = rng.standard_normal((5, 5))
+    A *= 1.1 / max(abs(np.linalg.eigvals(A)))
+    plants = [benchmark_plant(), LinearQuadraticPlant(A, rng.standard_normal((5, 2)),
+                                                      np.eye(5), np.eye(2))]
+    systems = []
+    solve = pgac.plant._solve_dlyap_stable
+    monkeypatch.setattr(pgac.plant, "_solve_dlyap_stable",
+                        lambda F, W: systems.append(len(F)) or solve(F, W))
+    for plant in plants:
+        K_star, _ = optimal_gain(plant)
+        for k in (1, 7, 100):
+            # about half the gains are pushed out of the stabilizing set
+            gains = np.stack([K_star + rng.choice([0.05, 50.0]) * rng.standard_normal(K_star.shape)
+                              for _ in range(k)])
+            del systems[:]
+            costs = true_costs(plant, gains)
+            expected = []
+            for K in gains:
+                try:
+                    expected.append(lqr_cost(plant, K).cost)
+                except NotStabilizing:
+                    expected.append(np.inf)
+            stable = int(np.isfinite(expected).sum())
+            # one stacked solve of the stabilizing gains, then one per lqr_cost
+            assert systems[:1] == ([stable] if stable else [])
+            assert costs.tolist() == expected
+            assert 0 < stable < k or k == 1
+        del systems[:]
+        assert true_costs(plant, np.zeros((3,) + K_star.shape)).tolist() == [np.inf] * 3
+        assert systems == []  # no gain stabilizes: no solve at all
 
 
 def test_lazy_value_is_the_eager_solve(monkeypatch):
