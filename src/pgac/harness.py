@@ -252,10 +252,11 @@ def run_trial(config, trial_index):
     else:
         # The monitor (true cost and gap of the gain, SNR of the record) lags
         # the loop, which never reads it: the rows of up to ``batch`` steps
-        # wait in ``pending`` and are completed by stacked calls whose
-        # Kronecker systems take at most 256 KiB (one step at a time at
-        # n = 12).  The record replaces ``phi`` and ``wbar`` on every append,
-        # so the arrays kept here stay as they were at their step.
+        # wait in ``pending`` and are completed by stacked calls.  ``batch``
+        # caps the memory of a batch's Kronecker systems at 256 KiB, or one
+        # system where a single one is larger (n >= 14); it is one step at a
+        # time from n = 12.  The record replaces ``phi`` and ``wbar`` on
+        # every append, so the arrays kept here stay as they were at their step.
         batch = max(1, 2**18 // (8 * plant.n**4))
         cost = true_costs(plant, state.gain[None]).item()
         initial_gap = gap = (cost - cstar) / cstar
@@ -297,19 +298,28 @@ def run_trial(config, trial_index):
     )
 
 
+def _usable_cpus():
+    # CPUs this process may run on (its affinity mask, which a container's
+    # CPU set also narrows); the machine's count where that cannot be read
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_monte_carlo(config, jobs=1):
     """Run all trials of a config and aggregate.
 
     ``jobs`` > 1 distributes trials over at most ``jobs`` processes, and
-    never more processes than trials or than the machine has CPUs; results
-    are collected in trial order, so parallel runs emit byte-identical
-    output.  The optimum is solved once, before the pool starts, and sent to
-    the workers with the config.  ``jobs`` < 1 raises ``ConfigError``.
+    never more processes than trials or than CPUs this process may run on;
+    results are collected in trial order, so parallel runs emit
+    byte-identical output.  The optimum is solved once, before the pool
+    starts, and sent to the workers with the config.  ``jobs`` < 1 raises
+    ``ConfigError``.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     n = config.trials
-    workers = min(jobs, n, os.cpu_count() or 1)
+    workers = min(jobs, n, _usable_cpus())
     if workers > 1:
         config.reference()
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -75,6 +75,11 @@ def _solve_dlyap_stable(F, W):
     # solve runs the same LAPACK routine on each system, so every slice is
     # bitwise the 2-D answer.  One call counts as one solve.
     global _lyap_solves
+    if W.ndim < F.ndim:
+        # numpy 1.x reads a right-hand side one dimension short of the
+        # left-hand side as a stack of vectors, so a W shared by a stack of F
+        # is given the stack's shape first (same values, same answer)
+        W = np.broadcast_to(W, F.shape)
     n = F.shape[-1]
     lhs = np.eye(n * n) - _kron_square(F)
     vec_w = W.swapaxes(-1, -2).reshape(*W.shape[:-2], n * n, 1)

@@ -523,17 +523,28 @@ def test_pool_never_outnumbers_trials(monkeypatch):
 
     monkeypatch.setattr(pgac.harness, "ProcessPoolExecutor", RecordingPool)
     spec = ControllerSpec("direct_vanilla", InverseNormM(0.2))
-    # (CPUs, trials, jobs, pool sizes started); os.cpu_count may return None
-    for cpus, trials, jobs, pool in ((8, 3, 8, [3]), (8, 3, 2, [2]), (8, 1, 4, []),
-                                     (8, 2, 2, [2]), (2, 3, 10_000, [2]), (1, 3, 8, []),
-                                     (None, 3, 8, [])):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        del sizes[:]
-        cfg = small_config(controller=spec, trials=trials, horizon=15)
-        texts = [trajectory_csv_text(lg) for lg in run_monte_carlo(cfg, jobs=jobs).logs]
-        assert sizes == pool
-        serial = run_monte_carlo(small_config(controller=spec, trials=trials, horizon=15))
-        assert texts == [trajectory_csv_text(lg) for lg in serial.logs]
+    # (usable CPUs, trials, jobs, pool sizes started).  The usable CPUs are
+    # the affinity mask's; the machine's count, which may be None, only
+    # stands in where the mask cannot be read.
+    masked = ((8, 3, 8, [3]), (8, 3, 2, [2]), (8, 1, 4, []), (8, 2, 2, [2]),
+              (2, 3, 10_000, [2]), (1, 3, 8, []))
+    fallback = ((8, 3, 8, [3]), (2, 3, 10_000, [2]), (1, 3, 8, []), (None, 3, 8, []))
+    for affinity, cases in ((True, masked), (False, fallback)):
+        for cpus, trials, jobs, pool in cases:
+            if affinity:
+                # a container's CPU set: fewer CPUs than the machine reports
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                    raising=False)
+                monkeypatch.setattr(os, "cpu_count", lambda: 64)
+            else:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+                monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            del sizes[:]
+            cfg = small_config(controller=spec, trials=trials, horizon=15)
+            texts = [trajectory_csv_text(lg) for lg in run_monte_carlo(cfg, jobs=jobs).logs]
+            assert sizes == pool
+            serial = run_monte_carlo(small_config(controller=spec, trials=trials, horizon=15))
+            assert texts == [trajectory_csv_text(lg) for lg in serial.logs]
 
 
 def test_cli_unwritable_output_exits_3(tmp_path):

@@ -31,6 +31,7 @@ from pgac import (
 )
 from pgac.errors import NoConvergence, NonSymmetric, NotPD, NotStabilizing, NotStable, RankDeficient
 from pgac.linalg import _solve_dlyap_stable, is_stabilizing, symmetrize
+from pgac.plant import true_costs
 
 
 def random_stable_f(rng, n, target_radius):
@@ -127,6 +128,33 @@ def test_stacked_kernels_equal_per_matrix_calls():
     assert isinstance(spectral_radius(0.5 * np.eye(2)), float)
     with pytest.raises(ValueError):
         spectral_radius(np.zeros((4, 2, 3)))
+
+
+def test_stacked_solve_right_hand_side_is_never_one_rank_short(monkeypatch):
+    # numpy 1.x (still allowed by pyproject) treats a right-hand side with
+    # one dimension fewer than the left-hand side as a stack of vectors, and
+    # then rejects the (n^2, 1) column of a shared W against a stack of F.
+    # No solve may hand numpy a right-hand side one dimension short of its
+    # left-hand side; any other rank both numpy generations read as a stack
+    # of matrices.
+    shapes = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append((a.ndim, b.ndim)) or solve(a, b))
+    rng = np.random.default_rng(78)
+    F = np.stack([random_stable_f(rng, 3, 0.9) for _ in range(4)])
+    W = random_spd(rng, 3)
+    for f, w in ((F, W), (F, np.stack([W] * 4)), (F[0], W), (F[0], np.stack([W] * 4))):
+        X = _solve_dlyap_stable(f, w)
+        assert X.shape == np.broadcast_shapes(f.shape, w.shape)
+        for i in range(len(X) if X.ndim == 3 else 0):
+            assert np.array_equal(X[i], _solve_dlyap_stable(F[i] if f.ndim == 3 else f, W))
+    assert shapes and all(b != a - 1 for a, b in shapes)
+    # the monitor's call: a stack of closed loops against one identity
+    del shapes[:]
+    plant = benchmark_plant()
+    K_star, _ = optimal_gain(plant)
+    assert np.isfinite(true_costs(plant, K_star + 0.01 * rng.standard_normal((5,) + K_star.shape))).all()
+    assert shapes and all(b != a - 1 for a, b in shapes)
 
 
 def test_is_stabilizing_margin():

@@ -124,10 +124,13 @@ def test_evaluate_gain_solve_budget_and_error_type():
 
 def test_true_costs_equal_lqr_cost_per_gain(monkeypatch):
     rng = np.random.default_rng(12)
-    A = rng.standard_normal((5, 5))
-    A *= 1.1 / max(abs(np.linalg.eigvals(A)))
-    plants = [benchmark_plant(), LinearQuadraticPlant(A, rng.standard_normal((5, 2)),
-                                                      np.eye(5), np.eye(2))]
+    plants = [benchmark_plant()]
+    # n = 9 is the largest state dimension whose monitor batch holds more
+    # than one step (B = 4), so its traces sum 9 terms per stacked slice
+    for n, m in ((5, 2), (9, 3)):
+        A = rng.standard_normal((n, n))
+        A *= 1.1 / max(abs(np.linalg.eigvals(A)))
+        plants.append(LinearQuadraticPlant(A, rng.standard_normal((n, m)), np.eye(n), np.eye(m)))
     systems = []
     solve = pgac.plant._solve_dlyap_stable
     monkeypatch.setattr(pgac.plant, "_solve_dlyap_stable",
@@ -146,6 +149,12 @@ def test_true_costs_equal_lqr_cost_per_gain(monkeypatch):
                     expected.append(lqr_cost(plant, K).cost)
                 except NotStabilizing:
                     expected.append(np.inf)
+                    continue
+                # the 2-D formulas, independent of the stacked code path
+                F = plant.A + plant.B @ K
+                sigma = _solve_dlyap_stable(F, np.eye(plant.n))
+                W = symmetrize(plant.Q + K.T @ plant.R @ K)
+                assert expected[-1] == float(np.trace(W @ sigma))
             stable = int(np.isfinite(expected).sum())
             # one stacked solve of the stabilizing gains, then one per lqr_cost
             assert systems[:1] == ([stable] if stable else [])
