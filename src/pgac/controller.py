@@ -118,12 +118,15 @@ class ControllerSpec:
         if rule is None:
             pass
         elif isinstance(rule, ConstantStep):
-            if not rule.eta > 0:
-                raise ValueError(f"constant stepsize must be positive, got {rule.eta}")
-        elif isinstance(rule, InverseNormM):
-            if not rule.coeff > 0:
+            if not 0 < rule.eta < math.inf:
                 raise ValueError(
-                    f"inverse-norm stepsize coefficient must be positive, got {rule.coeff}"
+                    f"constant stepsize must be positive and finite, got {rule.eta}"
+                )
+        elif isinstance(rule, InverseNormM):
+            if not 0 < rule.coeff < math.inf:
+                raise ValueError(
+                    "inverse-norm stepsize coefficient must be positive and finite, "
+                    f"got {rule.coeff}"
                 )
             if method not in DIRECT_METHODS:
                 raise RuleMismatch(
@@ -133,6 +136,8 @@ class ControllerSpec:
             raise ValueError(f"unknown stepsize rule {rule!r}")
         lam_rule = self.lambda_rule
         if isinstance(lam_rule, InverseSqrtLambda):
+            if not math.isfinite(lam_rule.lambda0):
+                raise ValueError(f"lambda0 must be finite, got {lam_rule.lambda0}")
             if lam_rule.lambda0 < 0:
                 raise NegativeLambda(
                     f"lambda0 must be nonnegative, got {lam_rule.lambda0}"
@@ -143,8 +148,10 @@ class ControllerSpec:
             raise RuleMismatch(
                 f"method {method.value} does not regularize, got lambda rule {lam_rule!r}"
             )
-        if self.probe_std < 0:
-            raise ValueError(f"probe_std must be nonnegative, got {self.probe_std}")
+        if not 0 <= self.probe_std < math.inf:
+            raise ValueError(
+                f"probe_std must be nonnegative and finite, got {self.probe_std}"
+            )
 
 
 @dataclass
@@ -251,7 +258,9 @@ def stepsize(state):
         return rule.eta
     if isinstance(rule, InverseNormM):
         M = direct_engine.scaling_matrix(state.record)
-        norm = float(np.linalg.norm(M, 2))
+        # the spectral norm, as np.linalg.norm(M, 2) takes it: the largest
+        # singular value, first in LAPACK's descending order
+        norm = float(np.linalg.svd(M, compute_uv=False)[0])
         if norm <= 0.0:
             raise NotPersistentlyExciting("scaling matrix is zero")
         return rule.coeff / norm
@@ -313,7 +322,7 @@ def advance(state, x, u, x_next, w_oracle=None):
             skip = True
     state.record.append(u, x, x_next, w_oracle)
     if new_estimate is not None:
-        if np.all(np.isfinite(new_estimate.theta)):
+        if np.isfinite(new_estimate.theta).all():
             state.estimate = new_estimate
         else:
             skip = True
@@ -328,7 +337,7 @@ def advance(state, x, u, x_next, w_oracle=None):
     if not skip:
         try:
             K_next = _policy_update(state, eta, lam)
-            if np.all(np.isfinite(K_next)):
+            if np.isfinite(K_next).all():
                 state.gain = K_next
             else:
                 skip = True

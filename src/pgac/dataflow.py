@@ -25,8 +25,9 @@ class DataRecord:
     Keeps only moments, O((m+n)^2) memory whatever the length: the running
     sample covariance Phi = D0 D0' / t of the stacked data D0 = [U0; X0] and
     the cross moments Ubar = U0 D0'/t, Xbar0 = X0 D0'/t, Xbar1 = X1 D0'/t,
-    Wbar = W0 D0'/t.  Ubar and Xbar0 are literally the row blocks of Phi and
-    are exposed as views of it.
+    Wbar = W0 D0'/t.  All of them are row blocks of one stacked moment block
+    [Phi; Xbar1; Wbar] (Ubar and Xbar0 are the row blocks of Phi), which a
+    transition updates in one rank-one step, and are exposed as its views.
 
     The inverse of Phi is tracked with rank-one (Sherman-Morrison) updates
     once available and re-inverted densely every ``reinvert_every`` updates
@@ -34,9 +35,10 @@ class DataRecord:
     ``NotPersistentlyExciting``.
 
     Single-writer: ``append`` mutates; use :meth:`copy` to snapshot for
-    concurrent readers.  ``append`` replaces ``phi``, ``xbar1`` and ``wbar``
-    with new arrays and never writes into them, so an array read at one
-    step keeps that step's value; the harness's monitor relies on this.
+    concurrent readers.  ``append`` replaces the moment block with a new
+    array and never writes into an old one, so ``phi``, ``xbar1`` or
+    ``wbar`` read at one step keeps that step's value; the harness's monitor
+    relies on this.
     """
 
     def __init__(self, m, n, reinvert_every=1000):
@@ -47,9 +49,8 @@ class DataRecord:
         self.t = 0
         d = self.m + self.n
         self._oracle_cols = 0
-        self._phi = np.zeros((d, d))
-        self._xbar1 = np.zeros((self.n, d))
-        self._wbar = np.zeros((self.n, d))
+        # rows [0, d) hold Phi, [d, d + n) Xbar1 and [d + n, d + 2n) Wbar
+        self._moments = np.zeros((d + 2 * self.n, d))
         self._phi_inv = None
         self._updates_since_inversion = 0
         self._reinvert_every = int(reinvert_every)
@@ -74,9 +75,7 @@ class DataRecord:
         other = DataRecord(self.m, self.n, reinvert_every=self._reinvert_every)
         other.t = self.t
         other._oracle_cols = self._oracle_cols
-        other._phi = self._phi.copy()
-        other._xbar1 = self._xbar1.copy()
-        other._wbar = self._wbar.copy()
+        other._moments = self._moments.copy()
         other._phi_inv = None if self._phi_inv is None else self._phi_inv.copy()
         other._updates_since_inversion = self._updates_since_inversion
         return other
@@ -98,17 +97,23 @@ class DataRecord:
                 f"got {u.shape}, {x.shape}, {x_next.shape}"
             )
         phi = np.concatenate([u, x])
-        t = self.t
-        self._phi = symmetrize((t * self._phi + np.outer(phi, phi)) / (t + 1))
-        self._xbar1 = (t * self._xbar1 + np.outer(x_next, phi)) / (t + 1)
-        if w is not None:
+        if w is None:
+            rows = np.concatenate([phi, x_next])
+        else:
             w = np.asarray(w, dtype=float).reshape(-1)
             if w.shape != (self.n,):
                 raise DimensionMismatch(f"expected w ({self.n},), got {w.shape}")
-            self._wbar = (t * self._wbar + np.outer(w, phi)) / (t + 1)
+            rows = np.concatenate([phi, x_next, w])
             self._oracle_cols += 1
-        else:
-            self._wbar = t * self._wbar / (t + 1)
+        # (t M + r phi') / (t + 1) for every moment M with a new sample r;
+        # Wbar without a noise sample is t Wbar / (t + 1)
+        t = self.t
+        moments = t * self._moments
+        moments[: len(rows)] += rows[:, None] * phi
+        moments /= t + 1
+        d = self.m + self.n
+        moments[:d] = symmetrize(moments[:d])
+        self._moments = moments
         self.t = t + 1
         self._derived = {}
         self._update_inverse(phi, t)
@@ -122,19 +127,19 @@ class DataRecord:
         ainv = self._phi_inv / t_before
         v = ainv @ phi
         denom = 1.0 + float(phi @ v)
-        self._phi_inv = symmetrize((t_before + 1) * (ainv - np.outer(v, v) / denom))
+        self._phi_inv = symmetrize((t_before + 1) * (ainv - v[:, None] * v / denom))
         self._updates_since_inversion += 1
         if self._updates_since_inversion >= self._reinvert_every:
             self._invert_dense()
 
     def _invert_dense(self):
         d = self.m + self.n
-        s = np.linalg.svd(self._phi, compute_uv=False)
+        s = np.linalg.svd(self.phi, compute_uv=False)
         if self.t < d or s[-1] <= 1e-12 * max(s[0], 1.0):
             self._phi_inv = None
             self._updates_since_inversion = 0
             return
-        self._phi_inv = symmetrize(np.linalg.inv(self._phi))
+        self._phi_inv = symmetrize(np.linalg.inv(self.phi))
         self._updates_since_inversion = 0
 
     # -- views ----------------------------------------------------------------
@@ -153,27 +158,28 @@ class DataRecord:
     @property
     def phi(self):
         """Sample covariance of the stacked data, D0 D0' / t."""
-        return self._phi
+        return self._moments[: self.m + self.n]
 
     @property
     def ubar(self):
         """Input cross moment U0 D0' / t (top row block of phi)."""
-        return self._phi[: self.m, :]
+        return self._moments[: self.m]
 
     @property
     def xbar0(self):
         """State cross moment X0 D0' / t (bottom row block of phi)."""
-        return self._phi[self.m :, :]
+        return self._moments[self.m : self.m + self.n]
 
     @property
     def xbar1(self):
         """Successor cross moment X1 D0' / t."""
-        return self._xbar1
+        d = self.m + self.n
+        return self._moments[d : d + self.n]
 
     @property
     def wbar(self):
         """Noise cross moment W0 D0' / t (oracle channel)."""
-        return self._wbar
+        return self._moments[self.m + 2 * self.n :]
 
     @property
     def phi_inv(self):
@@ -250,7 +256,7 @@ def rls_update(estimate, record, u, x, x_next):
     theta = estimate.theta
     gain_row = record.phi_inv @ phi
     denom = record.t + float(phi @ gain_row)
-    theta_new = theta + np.outer(x_next - theta @ phi, gain_row) / denom
+    theta_new = theta + (x_next - theta @ phi)[:, None] * gain_row / denom
     return ModelEstimate.from_theta(theta_new, record.m)
 
 

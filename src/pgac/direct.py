@@ -12,6 +12,8 @@ Updates move V along the constraint manifold: the raw gradient is projected
 onto the null space of Xbar0 before stepping.
 """
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -42,7 +44,9 @@ def _cost_eval(record, V, Q, R, lam, constraint_tol):
     """Cost evaluation of V and the weight G = Ubar'R Ubar + lam Phi on V."""
     if lam < 0:
         raise NegativeLambda(f"lambda must be nonnegative, got {lam}")
-    defect = np.linalg.norm(record.xbar0 @ V - np.eye(record.n))
+    # the Frobenius norm, as np.linalg.norm takes it
+    d = record.xbar0 @ V - np.eye(record.n)
+    defect = math.sqrt(np.vdot(d, d))
     if defect > constraint_tol:
         raise ConstraintViolated(
             f"covariance policy violates Xbar0 V = I (defect {defect:.3e})"

@@ -108,8 +108,8 @@ class ExperimentConfig:
             raise ConfigError(f"t0 must be >= 1, got {self.t0}")
         if self.horizon < 1:
             raise ConfigError(f"T must be >= 1, got {self.horizon}")
-        if self.sigma_w < 0 or self.sigma_u_offline < 0:
-            raise ConfigError("noise scales must be nonnegative")
+        if not (0 <= self.sigma_w < math.inf and 0 <= self.sigma_u_offline < math.inf):
+            raise ConfigError("noise scales must be nonnegative and finite")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.trials < 1:
@@ -261,9 +261,10 @@ def run_trial(config, trial_index):
         cost = true_costs(plant, state.gain[None]).item()
         initial_gap = gap = (cost - cstar) / cstar
         measured, pending = state.gain, []
+        x_norm = float(np.linalg.norm(x))
         # ``not >`` rather than ``<=``: a NaN state norm does not halt the loop
         while (len(rows) + len(pending) < config.horizon
-               and not np.linalg.norm(x) > config.divergence_threshold):
+               and not x_norm > config.divergence_threshold):
             e = probe_rng.standard_normal(plant.m)
             u = control_input(state, x, e)
             w = config.sigma_w * noise_rng.standard_normal(plant.n)
@@ -276,15 +277,16 @@ def run_trial(config, trial_index):
             # a skipped update leaves the gain as it was
             moved = state.gain if state.gain is not measured else None
             measured = state.gain
-            loop = (state.record.t, float(np.linalg.norm(x_next)), state.last_lambda,
-                    state.last_eta, int(state.last_skipped), dt)
+            x_norm = float(np.linalg.norm(x_next))
+            loop = (state.record.t, x_norm, state.last_lambda, state.last_eta,
+                    int(state.last_skipped), dt)
             pending.append((loop, moved, state.record.phi, state.record.wbar))
             if len(pending) == batch:
                 cost, gap = _monitor(plant, cstar, pending, rows, cost, gap)
             x = x_next
         if pending:
             _monitor(plant, cstar, pending, rows, cost, gap)
-        if np.linalg.norm(x) > config.divergence_threshold:
+        if x_norm > config.divergence_threshold:
             status, reason = "halted", "diverged"
     return TrajectoryLog(
         method=config.controller.method.value,
@@ -393,16 +395,18 @@ def read_trajectory_csv(path):
     if not lines or lines[0] != ",".join(TRAJECTORY_COLUMNS):
         raise ConfigError(f"{path} is not a trajectory CSV")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        rows.append(
-            (
-                int(parts[0]),
-                *(float(p) for p in parts[1:9]),
-                int(parts[9]),
-                float(parts[10]),
+        if len(parts) != len(TRAJECTORY_COLUMNS):
+            raise ConfigError(
+                f"{path} line {lineno}: expected {len(TRAJECTORY_COLUMNS)} fields, "
+                f"got {len(parts)}"
             )
-        )
+        try:
+            rows.append((int(parts[0]), *(float(p) for p in parts[1:9]),
+                         int(parts[9]), float(parts[10])))
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {lineno}: {exc}") from exc
     return rows
 
 
@@ -430,6 +434,9 @@ def _matrix(text):
     arr = np.array(ast.literal_eval(text), dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {arr.shape}")
+    # literal_eval reads an overflowing literal such as 1e999 as inf
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
     return arr
 
 

@@ -31,19 +31,50 @@ def lyapunov_solve_count():
     return _lyap_solves
 
 
-def spectral_radius(F):
-    """Largest eigenvalue magnitude of a square matrix: a float for an
-    (n, n) matrix, an array of one radius per matrix for a (..., n, n) stack."""
+def _square(F):
     F = np.asarray(F, dtype=float)
     if F.ndim < 2 or F.shape[-1] != F.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {F.shape}")
+    return F
+
+
+def spectral_radius(F):
+    """Largest eigenvalue magnitude of a square matrix: a float for an
+    (n, n) matrix, an array of one radius per matrix for a (..., n, n) stack."""
+    F = _square(F)
     rho = np.max(np.abs(np.linalg.eigvals(F)), axis=-1)
     return float(rho) if F.ndim == 2 else rho
 
 
 def is_stabilizing(F, margin=STABILITY_MARGIN):
-    """True if ``F`` is Schur stable with the standard margin."""
-    return spectral_radius(F) < 1.0 - margin
+    """True if ``F`` is Schur stable with the given margin, that is
+    ``spectral_radius(F) < 1 - margin``: a bool for an (n, n) matrix, a
+    boolean array for a (..., n, n) stack.
+
+    The verdict is always that of the spectral radius, but a matrix whose
+    Frobenius norm is below half the bound needs no eigensolve: then
+    rho(F) <= ||F||_F < (1 - margin) / 2, and no backward-stable eigenvalue
+    of F can reach the bound.  Only the other matrices are handed to
+    :func:`spectral_radius`, a stack of them in one call.  A non-finite F
+    is never certified, so it raises ``LinAlgError`` there.
+    """
+    F = _square(F)
+    bound = 1.0 - margin
+    if F.ndim == 2:
+        if bound > 0.0 and 4.0 * np.vdot(F, F) < bound * bound:
+            return True
+        return spectral_radius(F) < bound
+    if bound > 0.0:
+        stable = 4.0 * np.einsum("...ij,...ij->...", F, F) < bound * bound
+    else:
+        stable = np.zeros(F.shape[:-2], dtype=bool)
+    certified = np.count_nonzero(stable)
+    if certified == 0:
+        return spectral_radius(F) < bound
+    if certified < stable.size:
+        uncertified = ~stable
+        stable[uncertified] = spectral_radius(F[uncertified]) < bound
+    return stable
 
 
 def symmetrize(X):
@@ -122,9 +153,8 @@ def solve_dlyap_closed(F, W, margin=STABILITY_MARGIN):
     if F.shape != (n, n) or W.shape != (n, n):
         raise ValueError(f"shape mismatch: F {F.shape}, W {W.shape}")
     _require_symmetric(W, "W")
-    rho = spectral_radius(F)
-    if rho >= 1.0 - margin:
-        raise NotStable(f"spectral radius {rho:.12f} >= {1.0 - margin}")
+    if not is_stabilizing(F, margin):
+        raise NotStable(f"spectral radius {spectral_radius(F):.12f} >= {1.0 - margin}")
     return _solve_dlyap_stable(F, W)
 
 
@@ -198,7 +228,7 @@ def initial_stabilizing_gain(A, B, Q, R, horizon=200, margin=STABILITY_MARGIN):
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n, m = B.shape
-    if spectral_radius(A) < 1.0 - margin:
+    if is_stabilizing(A, margin):
         return np.zeros((m, n))
     P = np.asarray(Q, dtype=float).copy()
     K = np.zeros((m, n))
@@ -228,10 +258,10 @@ def _improved_gain(A, B, R, P):
 
 def _stable_closed_loop(A, B, K, margin):
     F = A + B @ K
-    rho = spectral_radius(F)
-    if rho >= 1.0 - margin:
+    if not is_stabilizing(F, margin):
         raise NotStabilizing(
-            f"gain gives closed-loop spectral radius {rho:.12f} >= {1.0 - margin}"
+            f"gain gives closed-loop spectral radius {spectral_radius(F):.12f} "
+            f">= {1.0 - margin}"
         )
     return F
 

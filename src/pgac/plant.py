@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import CertificateViolated, DimensionMismatch, NotStabilizing, RankDeficient
 from .linalg import (
-    STABILITY_MARGIN,
     _solve_dlyap_stable,
+    is_stabilizing,
     solve_riccati_hewer,
     spectral_radius,
     sqrt_spd,
@@ -150,20 +150,19 @@ def step(plant, x, u, w):
 
 
 def _stacked_cost(plant, K):
-    # Closed loops F, their spectral radii, stage weights W and costs of a
-    # (k, m, n) stack of gains, with the covariances sigma of the gains that
-    # stabilize the plant (in stack order) from one stacked Lyapunov solve,
-    # or none at all when no gain does.  A cost is inf where sigma is missing.
+    # Closed loops F, stage weights W and costs of a (k, m, n) stack of
+    # gains, with the covariances sigma of the gains that stabilize the plant
+    # (in stack order) from one stacked Lyapunov solve, or none at all when
+    # no gain does.  A cost is inf where sigma is missing.
     F = plant.A + plant.B @ K
-    rho = spectral_radius(F)
-    stable = rho < 1.0 - STABILITY_MARGIN
+    stable = is_stabilizing(F)
     W = symmetrize(plant.Q + K.swapaxes(-1, -2) @ plant.R @ K)
     cost = np.full(len(K), np.inf)
     sigma = None
     if stable.any():
         sigma = _solve_dlyap_stable(F[stable], np.eye(plant.n))
         cost[stable] = np.trace(W[stable] @ sigma, axis1=-2, axis2=-1)
-    return F, rho, W, cost, sigma
+    return F, W, cost, sigma
 
 
 def true_costs(plant, gains):
@@ -173,7 +172,7 @@ def true_costs(plant, gains):
     Costs the stabilizing gains with one stacked Lyapunov solve (none when
     no gain stabilizes); each cost is bitwise the one :func:`lqr_cost` gives.
     """
-    return _stacked_cost(plant, np.asarray(gains, dtype=float))[3]
+    return _stacked_cost(plant, np.asarray(gains, dtype=float))[2]
 
 
 def lqr_cost(plant, K):
@@ -184,9 +183,11 @@ def lqr_cost(plant, K):
     made on the first read of ``.value`` and not at all otherwise.  Raises
     ``NotStabilizing`` when K fails to stabilize the plant.
     """
-    F, rho, W, cost, sigma = _stacked_cost(plant, np.asarray(K, dtype=float)[None])
+    F, W, cost, sigma = _stacked_cost(plant, np.asarray(K, dtype=float)[None])
     if sigma is None:
-        raise NotStabilizing(f"gain gives closed-loop spectral radius {rho[0]:.6f}")
+        raise NotStabilizing(
+            f"gain gives closed-loop spectral radius {spectral_radius(F[0]):.6f}"
+        )
     return CostEvaluation(cost=float(cost[0]), sigma=sigma[0], closed_loop=F[0], weight=W[0])
 
 

@@ -24,6 +24,7 @@ from pgac import (
     solve_riccati_hewer,
     step,
 )
+from pgac.dataflow import ModelEstimate
 from pgac.errors import InitialGainUnstable, NotPersistentlyExciting, NotStabilizing
 from pgac.harness import NOISE_STREAM, OFFLINE_STREAM, PROBE_STREAM, trial_rng
 from pgac.linalg import STABILITY_MARGIN, is_stabilizing, spectral_radius
@@ -288,3 +289,75 @@ def per_step_monitor_trial(config, trial_index):
         halt_reason=reason, initial_gap=initial_gap,
         final_gap=rows[-1][2] if rows else initial_gap, rows=rows,
     )
+
+
+class OuterFormRecord:
+    """The moment bookkeeping of :class:`pgac.DataRecord` kept the
+    per-moment way: Phi, Xbar1 and Wbar as three arrays, each updated with
+    its own ``np.outer``, and the Sherman-Morrison inverse likewise.  Same
+    ``phi``, ``xbar1``, ``wbar``, ``phi_inv``, ``t`` and ``copy`` contract.
+    """
+
+    def __init__(self, m, n, reinvert_every=1000):
+        self.m, self.n, self.t = m, n, 0
+        self.phi = np.zeros((m + n, m + n))
+        self.xbar1 = np.zeros((n, m + n))
+        self.wbar = np.zeros((n, m + n))
+        self._phi_inv = None
+        self._updates_since_inversion = 0
+        self._reinvert_every = reinvert_every
+
+    def copy(self):
+        other = OuterFormRecord(self.m, self.n, self._reinvert_every)
+        other.t = self.t
+        other.phi, other.xbar1, other.wbar = self.phi.copy(), self.xbar1.copy(), self.wbar.copy()
+        other._phi_inv = None if self._phi_inv is None else self._phi_inv.copy()
+        other._updates_since_inversion = self._updates_since_inversion
+        return other
+
+    def append(self, u, x, x_next, w=None):
+        phi = np.concatenate([u, x])
+        t = self.t
+        P = (t * self.phi + np.outer(phi, phi)) / (t + 1)
+        self.phi = 0.5 * (P + P.T)
+        self.xbar1 = (t * self.xbar1 + np.outer(x_next, phi)) / (t + 1)
+        if w is not None:
+            self.wbar = (t * self.wbar + np.outer(w, phi)) / (t + 1)
+        else:
+            self.wbar = t * self.wbar / (t + 1)
+        self.t = t + 1
+        if self._phi_inv is not None:
+            ainv = self._phi_inv / t
+            v = ainv @ phi
+            denom = 1.0 + float(phi @ v)
+            S = (t + 1) * (ainv - np.outer(v, v) / denom)
+            self._phi_inv = 0.5 * (S + S.T)
+            self._updates_since_inversion += 1
+            if self._updates_since_inversion >= self._reinvert_every:
+                self._invert_dense()
+
+    def _invert_dense(self):
+        s = np.linalg.svd(self.phi, compute_uv=False)
+        self._phi_inv = None
+        if self.t >= self.m + self.n and s[-1] > 1e-12 * max(s[0], 1.0):
+            inv = np.linalg.inv(self.phi)
+            self._phi_inv = 0.5 * (inv + inv.T)
+        self._updates_since_inversion = 0
+
+    @property
+    def phi_inv(self):
+        if self._phi_inv is None:
+            self._invert_dense()
+        if self._phi_inv is None:
+            raise NotPersistentlyExciting("sample covariance is singular")
+        return self._phi_inv
+
+
+def outer_form_rls_update(estimate, record, u, x, x_next):
+    """:func:`pgac.rls_update` with its rank-one step taken by ``np.outer``."""
+    phi = np.concatenate([u, x])
+    theta = estimate.theta
+    gain_row = record.phi_inv @ phi
+    denom = record.t + float(phi @ gain_row)
+    theta_new = theta + np.outer(x_next - theta @ phi, gain_row) / denom
+    return ModelEstimate.from_theta(theta_new, record.m)

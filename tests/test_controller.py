@@ -104,6 +104,16 @@ def test_spec_validation_matrix():
                        lambda_rule=InverseSqrtLambda(-0.5))
     with pytest.raises(ValueError):
         ControllerSpec("indirect_vanilla", ConstantStep(0.1), probe_std=-1.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ControllerSpec("indirect_vanilla", ConstantStep(value))
+        with pytest.raises(ValueError):
+            ControllerSpec("direct_vanilla", InverseNormM(value))
+        with pytest.raises(ValueError):
+            ControllerSpec("indirect_vanilla", ConstantStep(0.1),
+                           lambda_rule=InverseSqrtLambda(value))
+        with pytest.raises(ValueError):
+            ControllerSpec("indirect_vanilla", ConstantStep(0.1), probe_std=value)
     with pytest.raises(ValueError):
         ControllerSpec("indirect_vanilla", object())
     with pytest.raises(ValueError):
@@ -294,9 +304,9 @@ def test_one_shot_checks_each_closed_loop_once(monkeypatch):
                        simulate_record(plant, rng, 40))
     state.gain = 0.9 * state.gain
     checks = []
-    radius = pgac.linalg.spectral_radius
-    monkeypatch.setattr(pgac.linalg, "spectral_radius",
-                        lambda F: checks.append(1) or radius(F))
+    stabilizing = pgac.linalg.is_stabilizing
+    monkeypatch.setattr(pgac.linalg, "is_stabilizing",
+                        lambda F, *args: checks.append(1) or stabilizing(F, *args))
     calls = _record_riccati_solves(monkeypatch)
     x = np.zeros(3)
     for _ in range(4):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import identity_record, simulate_columns, simulate_record
+from oracles import (
+    OuterFormRecord,
+    identity_record,
+    outer_form_rls_update,
+    simulate_columns,
+    simulate_record,
+)
 from pgac import (
     DataRecord,
     LinearQuadraticPlant,
@@ -240,3 +246,37 @@ def test_appends_replace_record_arrays_and_never_mutate_them():
     for arrays, values in kept:
         assert all(np.array_equal(a, v) for a, v in zip(arrays, values))
     assert all(np.array_equal(a, v) for a, v in snap)
+
+
+@pytest.mark.parametrize("noise_log", ["always", "never", "lapsing"])
+def test_fused_moment_update_equals_outer_form(noise_log):
+    # 1300 transitions of a 2-input, 3-state record cross the dense
+    # re-inversion after 1000 rank-one updates; midway both records are
+    # copied, and the copies go on from there
+    m, n, steps = 2, 3, 1300
+    rng = np.random.default_rng(31)
+    rec, ref = DataRecord(m, n, reinvert_every=1000), OuterFormRecord(m, n, 1000)
+    est = ref_est = None
+    for k in range(steps):
+        u, x, x_next, w = (rng.standard_normal(size) for size in (m, n, n, n))
+        if noise_log == "never" or (noise_log == "lapsing" and k % 7 < 3):
+            w = None
+        if est is not None:
+            est = rls_update(est, rec, u, x, x_next)
+            ref_est = outer_form_rls_update(ref_est, ref, u, x, x_next)
+            assert np.array_equal(est.theta, ref_est.theta)
+        rec.append(u, x, x_next, w)
+        ref.append(u, x, x_next, w)
+        if k == 2 * (m + n):
+            est = batch_least_squares(rec)
+            ref_est = ModelEstimate.from_theta(ref.xbar1 @ ref.phi_inv, m)
+        if k == steps // 2:
+            rec, ref = rec.copy(), ref.copy()
+        assert rec.t == ref.t == k + 1
+        for name in ("phi", "xbar1", "wbar"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+        if est is not None:
+            assert np.array_equal(rec.phi_inv, ref.phi_inv)
+    # rank-one updates since the first inversion at t = 2(m + n) + 1, less
+    # the 1000 before the dense re-inversion
+    assert rec._updates_since_inversion == ref._updates_since_inversion == steps - 11 - 1000

@@ -75,6 +75,12 @@ def test_experiment_config_validation():
         ExperimentConfig(controller=spec, trials=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(controller=spec, sigma_w=-1.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(controller=spec, sigma_w=value)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(controller=spec, sigma_u_offline=value)
+    assert ExperimentConfig(controller=spec, divergence_threshold=math.inf)
     with pytest.raises(ConfigError):
         ExperimentConfig(controller=spec, divergence_threshold=0.0)
     with pytest.raises(ConfigError):
@@ -186,6 +192,13 @@ def test_trajectory_csv_header_enforced(tmp_path):
     bad.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError):
         read_trajectory_csv(str(bad))
+    # malformed rows name their line: too few fields, a non-integer skip flag
+    header = ",".join(TRAJECTORY_COLUMNS)
+    good = "21,1.0,0.5,2.0,0.1,0.2,0.5,0.0,0.1,0,0.0"
+    for row in ("21,1.0,0.5", good.replace(",0,0.0", ",0.5,0.0")):
+        bad.write_text(f"{header}\n{good}\n{row}\n")
+        with pytest.raises(ConfigError, match="line 3"):
+            read_trajectory_csv(str(bad))
 
 
 def test_empty_log_emits_header_only():
@@ -269,6 +282,10 @@ def test_config_mapping_requirements():
         config_from_mapping({"method": "indirect_vanilla", "eta": "0.1",
                              "plant": "explicit", "A": "[[0.5]]", "B": "[[1.0]]",
                              "Q": "[[1.0]]"})  # R missing
+    with pytest.raises(ConfigError):
+        config_from_mapping({"method": "indirect_vanilla", "eta": "0.1",
+                             "plant": "explicit", "A": "[[-1e999]]", "B": "[[1.0]]",
+                             "Q": "[[1.0]]", "R": "[[1.0]]"})  # A overflows to -inf
     # eta is forbidden where the method fixes its own stepsize
     with pytest.raises(ConfigError):
         config_from_mapping({"method": "one_shot_ce", "eta": "0.1"})
@@ -286,6 +303,7 @@ def test_config_mapping_requirements():
         {"eta": "fast"},
         {"initial_gain": "[1.0, 2.0, 3.0]"},  # 1-d
         {"initial_gain": "[[1.0, 2.0]"},  # unparsable
+        {"initial_gain": "[[1e999, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]"},  # inf
         {"eta_rule": "linear"},
         {"lambda_rule": "exponential"},
         {"plant": "pendulum"},
@@ -294,10 +312,19 @@ def test_config_mapping_requirements():
         {"eta_rule": "inverse_norm_m", "eta": None},  # without eta_coeff
         {"method": "adaptive_hewer", "eta_rule": "inverse_norm_m", "eta": None},
         {"eta": "0"},
+        *({key: value} for key in ("sigma_w", "sigma_u_offline", "probe_std", "eta")
+          for value in ("nan", "inf", "-inf")),
+        *({"eta_rule": "inverse_norm_m", "eta": None, "eta_coeff": value}
+          for value in ("nan", "inf", "-inf")),
+        *({"lambda_rule": "inverse_sqrt", "lambda0": value}
+          for value in ("nan", "inf", "-inf")),
     ):
         mapping = {k: v for k, v in {**base, **changes}.items() if v is not None}
         with pytest.raises(ConfigError):
             config_from_mapping(mapping)
+    # no divergence threshold at all is a valid choice
+    cfg = config_from_mapping({**base, "divergence_threshold": "inf"})
+    assert cfg.divergence_threshold == math.inf
 
 
 def test_config_mapping_defaults_and_explicit_plant():
@@ -379,7 +406,7 @@ def test_cli_run_respects_overrides(tmp_path):
     assert (out / "indirect_natural_trial001.csv").is_file()
 
 
-def test_cli_bad_config_exits_2(tmp_path):
+def test_cli_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("method = indirect_natural\neta = 0.2\nwhatever = 1\n")
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
@@ -391,6 +418,12 @@ def test_cli_bad_config_exits_2(tmp_path):
     one_shot.write_text("method = one_shot_ce\nlambda_rule = inverse_sqrt\nlambda0 = 0.1\n")
     assert cli.main(["run", "--config", str(one_shot), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+    capsys.readouterr()
+    nan_noise = tmp_path / "nan_noise.cfg"
+    nan_noise.write_text("method = indirect_natural\neta = 0.2\nsigma_w = nan\n")
+    assert cli.main(["run", "--config", str(nan_noise), "--out", str(tmp_path / "n")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "n").exists()
     missing = tmp_path / "missing.cfg"
     assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path)]) in (2, 3)
 

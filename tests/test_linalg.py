@@ -157,7 +157,28 @@ def test_stacked_solve_right_hand_side_is_never_one_rank_short(monkeypatch):
     assert shapes and all(b != a - 1 for a, b in shapes)
 
 
-def test_is_stabilizing_margin():
+def _straddling_matrices(rng, n, count, bound):
+    # count random n x n matrices, from a dense, a strongly non-normal
+    # (upper triangular) and an orthogonal family, scaled in turn so that
+    # ||F||_F sits just below and just above bound / 2 and the spectral
+    # radius just below and just above bound
+    mats = np.empty((count, n, n))
+    for i in range(count):
+        G = rng.standard_normal((n, n))
+        family = (i // 4) % 3
+        if family == 1:
+            G = np.triu(G) + 10.0 * np.triu(rng.standard_normal((n, n)), 1)
+        elif family == 2:
+            G = np.linalg.qr(G)[0]
+        side = 1.0 + (1 if i % 4 >= 2 else -1) * rng.uniform(1e-3, 0.1)
+        if i % 2 == 0:
+            mats[i] = G * (side * bound / 2 / np.linalg.norm(G))
+        else:
+            mats[i] = G * (side * bound / spectral_radius(G))
+    return mats
+
+
+def test_is_stabilizing_margin(monkeypatch):
     assert is_stabilizing(0.5 * np.eye(2))
     assert not is_stabilizing(np.eye(2))
     assert not is_stabilizing(1.5 * np.eye(2))
@@ -165,6 +186,54 @@ def test_is_stabilizing_margin():
     F = 0.97 * np.eye(2)
     assert is_stabilizing(F)
     assert not is_stabilizing(F, margin=0.05)
+    # the norm certificate never changes the spectral radius's verdict:
+    # 12,480 matrices, one by one and in stacks of 1, 7 and 100
+    rng = np.random.default_rng(77)
+    for margin in (1e-9, 0.05, 0.5, 1.0, 1.5):
+        bound = 1.0 - margin
+        for n in range(1, 13):
+            for k in (1, 7, 100, 100):
+                S = _straddling_matrices(rng, n, k, max(bound, 0.25))
+                expected = spectral_radius(S) < bound
+                got = is_stabilizing(S, margin)
+                assert got.dtype == bool and np.array_equal(got, expected)
+                for F, verdict in zip(S, expected):
+                    assert is_stabilizing(F, margin) is bool(verdict)
+                certified = np.linalg.norm(S, axis=(-2, -1)) < bound / 2
+                if k > 1 and bound > 0:  # the stack mixes both kinds
+                    assert certified.any() and not certified.all()
+    # only uncertified matrices reach the eigensolver
+    calls = []
+    radius = pgac.linalg.spectral_radius
+    monkeypatch.setattr(pgac.linalg, "spectral_radius",
+                        lambda F: calls.append(np.shape(F)) or radius(F))
+    small = 0.1 * np.eye(3)
+    assert is_stabilizing(small) and is_stabilizing(np.stack([small] * 5)).all()
+    assert calls == []
+    mixed = np.stack([small, np.eye(3), small, 0.9 * np.eye(3)])
+    assert is_stabilizing(mixed).tolist() == [True, False, True, True]
+    assert calls == [(2, 3, 3)]
+    # a rank-one F with ||F||_F exactly bound / 2 is not certified, and no F
+    # is when the bound is not positive
+    edge = np.zeros((3, 3))
+    edge[0, 0] = (1.0 - 0.05) / 2
+    assert is_stabilizing(edge, margin=0.05)
+    assert not is_stabilizing(small, margin=1.0)
+    assert not is_stabilizing(small, margin=1.5)
+    assert not is_stabilizing(np.stack([np.eye(3)] * 2)).any()
+    assert calls[1:] == [(3, 3)] * 3 + [(2, 3, 3)]
+    monkeypatch.undo()
+    # a non-finite F is never certified, so the eigensolver rejects it
+    for bad in (np.nan, np.inf, -np.inf):
+        F = 0.1 * np.eye(3)
+        F[1, 2] = bad
+        for margin in (1e-9, 1.5):
+            with pytest.raises(np.linalg.LinAlgError):
+                is_stabilizing(F, margin)
+            with pytest.raises(np.linalg.LinAlgError):
+                is_stabilizing(np.stack([small, F]), margin)
+    with pytest.raises(ValueError):
+        is_stabilizing(np.zeros((2, 3)))
 
 
 def test_right_pinv_wide_row():
