@@ -27,7 +27,6 @@ from .dataflow import (
     ModelEstimate,
     SnrReading,
     batch_least_squares,
-    pe_check,
     rls_update,
     snr_reading,
 )
@@ -84,9 +83,7 @@ from .linalg import (
     initial_stabilizing_gain,
     lyapunov_solve_count,
     nullspace_projector,
-    right_pinv,
     solve_dlyap_closed,
-    solve_dlyap_cost,
     solve_riccati_hewer,
     spectral_radius,
     sqrt_spd,
@@ -94,13 +91,11 @@ from .linalg import (
 from .plant import (
     CostEvaluation,
     LinearQuadraticPlant,
-    SequentialStabilityReport,
     StabilityCertificate,
     exact_gradient,
     gradient_dominance_gap,
     lqr_cost,
     optimal_gain,
-    sequential_stability_check,
     step,
     strong_stability_certificate,
 )

@@ -300,9 +300,3 @@ def _sigma_min_psd(S):
     # eigenvalues from roundoff.
     return np.maximum(np.linalg.eigvalsh(S)[..., 0], 0.0)
 
-
-def pe_check(record, gamma_floor):
-    """True when the record's excitation level sigma_min(Phi) >= gamma_floor."""
-    if record.t < 1:
-        return False
-    return bool(_sigma_min_psd(record.phi) >= gamma_floor)

@@ -32,6 +32,9 @@ from .dataflow import batch_least_squares
 from .indirect import natural_step
 from .plant import CostEvaluation
 
+# Largest Frobenius defect of Xbar0 V = I that a covariance policy may carry.
+CONSTRAINT_TOL = 1e-6
+
 
 def parameterize(record, K):
     """Covariance parameterization V = Phi^{-1} [K; I] of a gain."""
@@ -40,14 +43,14 @@ def parameterize(record, K):
     return record.phi_inv @ stacked
 
 
-def _cost_eval(record, V, Q, R, lam, constraint_tol):
+def _cost_eval(record, V, Q, R, lam):
     """Cost evaluation of V and the weight G = Ubar'R Ubar + lam Phi on V."""
     if lam < 0:
         raise NegativeLambda(f"lambda must be nonnegative, got {lam}")
     # the Frobenius norm, as np.linalg.norm takes it
     d = record.xbar0 @ V - np.eye(record.n)
     defect = math.sqrt(np.vdot(d, d))
-    if defect > constraint_tol:
+    if defect > CONSTRAINT_TOL:
         raise ConstraintViolated(
             f"covariance policy violates Xbar0 V = I (defect {defect:.3e})"
         )
@@ -71,7 +74,7 @@ def _cost_eval(record, V, Q, R, lam, constraint_tol):
     return ev, G
 
 
-def regularized_direct_cost(record, V, Q, R, lam=0.0, constraint_tol=1e-6):
+def regularized_direct_cost(record, V, Q, R, lam=0.0):
     """Regularized direct cost J(V) + lam * trace(V Sigma V' Phi), straight
     from data moments.
 
@@ -79,10 +82,10 @@ def regularized_direct_cost(record, V, Q, R, lam=0.0, constraint_tol=1e-6):
     the gain Ubar V.
     """
     V = np.asarray(V, dtype=float)
-    return _cost_eval(record, V, Q, R, lam, constraint_tol)[0]
+    return _cost_eval(record, V, Q, R, lam)[0]
 
 
-def regularized_direct_gradient(record, V, Q, R, lam=0.0, constraint_tol=1e-6):
+def regularized_direct_gradient(record, V, Q, R, lam=0.0):
     """Unprojected gradient of the regularized direct cost (two Lyapunov
     solves).
 
@@ -90,7 +93,7 @@ def regularized_direct_gradient(record, V, Q, R, lam=0.0, constraint_tol=1e-6):
     P solved under the lam-inflated weights.
     """
     V = np.asarray(V, dtype=float)
-    ev, G = _cost_eval(record, V, Q, R, lam, constraint_tol)
+    ev, G = _cost_eval(record, V, Q, R, lam)
     core = G + record.xbar1.T @ ev.value @ record.xbar1
     return 2.0 * core @ V @ ev.sigma
 
@@ -101,7 +104,7 @@ def _projector(record):
     return record.cached("nullspace_projector", lambda rec: nullspace_projector(rec.xbar0))
 
 
-def projected_step(record, V, Q, R, eta, lam=0.0, constraint_tol=1e-6):
+def projected_step(record, V, Q, R, eta, lam=0.0):
     """One projected-gradient update of the covariance policy.
 
     Returns (V_next, K_next) where V_next = V - eta * Pi grad and Pi is the
@@ -109,9 +112,7 @@ def projected_step(record, V, Q, R, eta, lam=0.0, constraint_tol=1e-6):
     constraint is preserved exactly; K_next = Ubar V_next.
     """
     V = np.asarray(V, dtype=float)
-    grad = regularized_direct_gradient(
-        record, V, Q, R, lam=lam, constraint_tol=constraint_tol
-    )
+    grad = regularized_direct_gradient(record, V, Q, R, lam=lam)
     V_next = V - eta * _projector(record) @ grad
     K_next = record.ubar @ V_next
     return V_next, K_next

@@ -136,9 +136,15 @@ class ExperimentConfig:
         Built and solved on the first call, then kept by the config, so the
         trials of a config share one optimum, in pool workers too when the
         config is sent after this call.  ``dataclasses.replace`` starts over.
+        Raises ``ConfigError`` when ``initial_gain`` is not (m, n).
         """
         if self._reference is None:
             plant = self.build_plant()
+            shape = (plant.m, plant.n)
+            if self.initial_gain is not None and np.shape(self.initial_gain) != shape:
+                raise ConfigError(
+                    f"initial_gain must have shape {shape}, got {np.shape(self.initial_gain)}"
+                )
             _, opt = optimal_gain(plant)
             self._reference = (plant, opt.cost)
         return self._reference

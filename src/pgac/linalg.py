@@ -13,10 +13,17 @@ per-update flop profiles of the gradient engines can be asserted in tests; see
 
 import numpy as np
 
-from .errors import NonSymmetric, NoConvergence, NotPD, NotStable, NotStabilizing, RankDeficient
+from .errors import NonSymmetric, NoConvergence, NotPD, NotStable, NotStabilizing
 
 # A closed-loop matrix counts as stabilizing only with this much room to spare.
 STABILITY_MARGIN = 1e-9
+
+# Steps of the backward recursion behind initial_stabilizing_gain.
+SEED_HORIZON = 200
+
+# Relative singular-value cutoff below which nullspace_projector counts a
+# direction as part of the null space.
+_RANK_RCOND = 1e-10
 
 _SYM_TOL = 1e-8
 
@@ -120,13 +127,13 @@ def _solve_dlyap_stable(F, W):
     return symmetrize(x.reshape(*x.shape[:-2], n, n))
 
 
-def solve_dlyap_closed(F, W, margin=STABILITY_MARGIN):
+def solve_dlyap_closed(F, W):
     """Solve the closed-form discrete Lyapunov equation X = W + F X F'.
 
     Parameters
     ----------
     F : (n, n) array_like
-        Schur-stable matrix (spectral radius < 1 - margin).
+        Schur-stable matrix (spectral radius < 1 - STABILITY_MARGIN).
     W : (n, n) array_like
         Symmetric forcing term.
 
@@ -153,48 +160,24 @@ def solve_dlyap_closed(F, W, margin=STABILITY_MARGIN):
     if F.shape != (n, n) or W.shape != (n, n):
         raise ValueError(f"shape mismatch: F {F.shape}, W {W.shape}")
     _require_symmetric(W, "W")
-    if not is_stabilizing(F, margin):
-        raise NotStable(f"spectral radius {spectral_radius(F):.12f} >= {1.0 - margin}")
+    if not is_stabilizing(F):
+        raise NotStable(f"spectral radius {spectral_radius(F):.12f} >= {1.0 - STABILITY_MARGIN}")
     return _solve_dlyap_stable(F, W)
 
 
-def solve_dlyap_cost(F, W, margin=STABILITY_MARGIN):
-    """Solve the cost-form discrete Lyapunov equation X = W + F' X F.
-
-    Same contract as :func:`solve_dlyap_closed`; this is the adjoint equation
-    (value matrices live here, state covariances in the closed form).
-    """
-    return solve_dlyap_closed(np.asarray(F, dtype=float).T, W, margin=margin)
-
-
-def right_pinv(A, rcond=1e-10):
-    """Right pseudoinverse A'(AA')^{-1} of a full-row-rank matrix.
-
-    Raises ``RankDeficient`` when the smallest singular value of ``A`` falls
-    below ``rcond`` times the largest, post-condition A @ right_pinv(A) = I.
-    """
-    A = np.asarray(A, dtype=float)
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= rcond * s[0]:
-        raise RankDeficient(
-            f"matrix of shape {A.shape} is not full row rank "
-            f"(sigma_min/sigma_max = {s[-1] / max(s[0], 1e-300):.3e})"
-        )
-    return vt.T @ np.diag(1.0 / s) @ u.T
-
-
-def nullspace_projector(A, rcond=1e-10):
+def nullspace_projector(A):
     """Orthogonal projector onto the null space of ``A``.
 
     Returns the symmetric idempotent Pi = I - pinv(A) A, computed from the
-    SVD of ``A`` so that A @ Pi = 0 holds to machine precision.
+    SVD of ``A`` so that A @ Pi = 0 holds to machine precision.  Singular
+    values below _RANK_RCOND times the largest count as zero.
     """
     A = np.asarray(A, dtype=float)
     k = A.shape[1]
     _, s, vt = np.linalg.svd(A)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(k)
-    rank = int(np.sum(s > rcond * s[0]))
+    rank = int(np.sum(s > _RANK_RCOND * s[0]))
     vr = vt[:rank].T
     return symmetrize(np.eye(k) - vr @ vr.T)
 
@@ -209,17 +192,17 @@ def sqrt_spd(S):
     return symmetrize(U @ np.diag(np.sqrt(lam)) @ U.T)
 
 
-def initial_stabilizing_gain(A, B, Q, R, horizon=200, margin=STABILITY_MARGIN):
+def initial_stabilizing_gain(A, B, Q, R):
     """Construct a stabilizing gain for (A, B) without prior knowledge.
 
     Returns the zero gain when ``A`` is already Schur stable; otherwise runs a
-    ``horizon``-step finite-horizon LQR backward recursion (value iteration
+    SEED_HORIZON-step finite-horizon LQR backward recursion (value iteration
     seeded at Q) and returns the resulting receding-horizon gain.
 
     The recursion stops early once a step reproduces P bit for bit: every
     later step would then recompute the same gain, so the result is the
     full-horizon gain exactly.  A recursion that never repeats runs all
-    ``horizon`` steps.
+    SEED_HORIZON steps.
 
     Raises ``NotStabilizing`` if the recursion fails to stabilize, which for
     positive-definite weights means (A, B) is not stabilizable in practice,
@@ -228,7 +211,7 @@ def initial_stabilizing_gain(A, B, Q, R, horizon=200, margin=STABILITY_MARGIN):
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     n, m = B.shape
-    if is_stabilizing(A, margin):
+    if is_stabilizing(A):
         return np.zeros((m, n))
     P = np.asarray(Q, dtype=float).copy()
     K = np.zeros((m, n))
@@ -236,7 +219,7 @@ def initial_stabilizing_gain(A, B, Q, R, horizon=200, margin=STABILITY_MARGIN):
     # an unstabilizable mode can overflow P: stop at the first non-finite P
     # rather than run on inf/NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(horizon):
+        for _ in range(SEED_HORIZON):
             K = _improved_gain(A, B, R, P)
             F = A + B @ K
             P_next = symmetrize(Q + K.T @ R @ K + F.T @ P @ F)
@@ -244,9 +227,9 @@ def initial_stabilizing_gain(A, B, Q, R, horizon=200, margin=STABILITY_MARGIN):
             if not finite or np.array_equal(P_next, P):
                 break
             P = P_next
-    if not (finite and is_stabilizing(A + B @ K, margin)):
+    if not (finite and is_stabilizing(A + B @ K)):
         raise NotStabilizing(
-            f"backward recursion over {horizon} steps did not stabilize (A, B)"
+            f"backward recursion over {SEED_HORIZON} steps did not stabilize (A, B)"
         )
     return K
 
@@ -256,12 +239,12 @@ def _improved_gain(A, B, R, P):
     return -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
 
 
-def _stable_closed_loop(A, B, K, margin):
+def _stable_closed_loop(A, B, K):
     F = A + B @ K
-    if not is_stabilizing(F, margin):
+    if not is_stabilizing(F):
         raise NotStabilizing(
             f"gain gives closed-loop spectral radius {spectral_radius(F):.12f} "
-            f">= {1.0 - margin}"
+            f">= {1.0 - STABILITY_MARGIN}"
         )
     return F
 
@@ -272,7 +255,7 @@ def _policy_value(Q, R, K, F):
     return _solve_dlyap_stable(F.T, symmetrize(Q + K.T @ R @ K))
 
 
-def hewer_iterates(A, B, Q, R, K0, margin=STABILITY_MARGIN):
+def hewer_iterates(A, B, Q, R, K0):
     """Generate policy-iteration pairs (K_i, P_i) for the discrete LQR problem.
 
     P_i solves the policy-evaluation equation P = Q + K'RK + (A+BK)'P(A+BK)
@@ -286,7 +269,7 @@ def hewer_iterates(A, B, Q, R, K0, margin=STABILITY_MARGIN):
     R = np.asarray(R, dtype=float)
     K = np.asarray(K0, dtype=float)
     while True:
-        P = _policy_value(Q, R, K, _stable_closed_loop(A, B, K, margin))
+        P = _policy_value(Q, R, K, _stable_closed_loop(A, B, K))
         yield K, P
         K = _improved_gain(A, B, R, P)
 
@@ -327,8 +310,7 @@ class RiccatiSolution:
         return self._residual
 
 
-def solve_riccati_hewer(A, B, Q, R, K0=None, tol=1e-10, max_iter=500,
-                        margin=STABILITY_MARGIN):
+def solve_riccati_hewer(A, B, Q, R, K0=None, tol=1e-10, max_iter=500):
     """Solve the discrete algebraic Riccati equation by policy iteration.
 
     Parameters
@@ -369,14 +351,14 @@ def solve_riccati_hewer(A, B, Q, R, K0=None, tol=1e-10, max_iter=500,
     R = np.asarray(R, dtype=float)
     if K0 is None:
         # initial_stabilizing_gain has already checked this closed loop
-        K = initial_stabilizing_gain(A, B, Q, R, margin=margin)
+        K = initial_stabilizing_gain(A, B, Q, R)
         F = A + B @ K
     else:
         K = np.asarray(K0, dtype=float)
-        F = _stable_closed_loop(A, B, K, margin)
+        F = _stable_closed_loop(A, B, K)
     for i in range(1, max_iter + 1):
         K_next = _improved_gain(A, B, R, _policy_value(Q, R, K, F))
-        F = _stable_closed_loop(A, B, K_next, margin)
+        F = _stable_closed_loop(A, B, K_next)
         if np.linalg.norm(K_next - K) < tol:
             return RiccatiSolution(K_next, i, A, B, Q, R, F)
         K = K_next

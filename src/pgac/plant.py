@@ -62,24 +62,6 @@ class StabilityCertificate:
     L: np.ndarray
 
 
-@dataclass
-class SequentialStabilityReport:
-    """Outcome of checking a gain sequence against sequential stability.
-
-    ``condition_passes`` / ``condition_failures`` count, per condition
-    ("i": policy bounds, "ii": transform bounds, "iii": consecutive drift),
-    how many gains (or consecutive pairs, for "iii") satisfied it.
-    ``first_violation`` is (condition, index) for the earliest failure, with
-    the index of the first gain of the pair for condition "iii".
-    """
-
-    passed: bool
-    checked: int
-    condition_passes: dict
-    condition_failures: dict
-    first_violation: tuple | None
-
-
 def _controllability_rank(A, B):
     n = A.shape[0]
     blocks = [B]
@@ -200,7 +182,7 @@ def exact_gradient(plant, K):
     return 2.0 * E @ ev.sigma
 
 
-def optimal_gain(plant, tol=1e-10, max_iter=500):
+def optimal_gain(plant):
     """Optimal LQR gain and its cost evaluation, solved by policy iteration.
 
     The initial stabilizing gain is constructed automatically (zero gain for
@@ -208,9 +190,7 @@ def optimal_gain(plant, tol=1e-10, max_iter=500):
     cached on the plant.
     """
     if plant._optimal is None:
-        sol = solve_riccati_hewer(
-            plant.A, plant.B, plant.Q, plant.R, K0=None, tol=tol, max_iter=max_iter
-        )
+        sol = solve_riccati_hewer(plant.A, plant.B, plant.Q, plant.R)
         plant._optimal = (sol.gain, lqr_cost(plant, sol.gain))
     gain, ev = plant._optimal
     return gain.copy(), ev
@@ -247,60 +227,6 @@ def strong_stability_certificate(plant, K, tol=1e-8):
     if failed:
         raise CertificateViolated(f"certificate checks failed: {', '.join(failed)}")
     return StabilityCertificate(kappa=kappa, alpha=alpha, H=H, L=L)
-
-
-def sequential_stability_check(plant, gains, kappa, alpha, tol=1e-9):
-    """Check a gain sequence against the three sequential-stability conditions.
-
-    (i)  ||L_t|| <= 1 - alpha and ||K_t|| <= kappa,
-    (ii) ||H_t|| <= kappa and ||H_t^{-1}|| <= 1,
-    (iii) ||H_{t+1}^{-1} H_t|| <= 1 + alpha / 2,
-
-    with H_t = Sigma_t^{1/2} (so ||H_t^{-1}|| <= 1 is a genuine check, not a
-    normalization; Sigma_t >= I makes it hold for stabilizing gains).  An
-    empty or singleton sequence passes vacuously on condition (iii).
-    """
-    gains = [np.asarray(K, dtype=float) for K in gains]
-    passes = {"i": 0, "ii": 0, "iii": 0}
-    failures = {"i": 0, "ii": 0, "iii": 0}
-    first = None
-
-    transforms = []
-    for idx, K in enumerate(gains):
-        ev = lqr_cost(plant, K)
-        H = sqrt_spd(ev.sigma)
-        L = np.linalg.solve(H, (plant.A + plant.B @ K) @ H)
-        transforms.append(H)
-        ok_i = (
-            np.linalg.norm(L, 2) <= 1.0 - alpha + tol
-            and np.linalg.norm(K, 2) <= kappa + tol
-        )
-        ok_ii = (
-            np.linalg.norm(H, 2) <= kappa + tol
-            and np.linalg.norm(np.linalg.inv(H), 2) <= 1.0 + tol
-        )
-        for cond, ok in (("i", ok_i), ("ii", ok_ii)):
-            if ok:
-                passes[cond] += 1
-            else:
-                failures[cond] += 1
-                if first is None:
-                    first = (cond, idx)
-    for idx in range(len(transforms) - 1):
-        drift = np.linalg.norm(np.linalg.solve(transforms[idx + 1], transforms[idx]), 2)
-        if drift <= 1.0 + alpha / 2.0 + tol:
-            passes["iii"] += 1
-        else:
-            failures["iii"] += 1
-            if first is None:
-                first = ("iii", idx)
-    return SequentialStabilityReport(
-        passed=all(v == 0 for v in failures.values()),
-        checked=len(gains),
-        condition_passes=passes,
-        condition_failures=failures,
-        first_violation=first,
-    )
 
 
 def gradient_dominance_gap(plant, K):

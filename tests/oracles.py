@@ -20,7 +20,7 @@ from pgac import (
     lqr_cost,
     optimal_gain,
     snr_reading,
-    solve_dlyap_cost,
+    solve_dlyap_closed,
     solve_riccati_hewer,
     step,
 )
@@ -102,7 +102,7 @@ def eager_riccati_hewer(A, B, Q, R, K0, tol=1e-10, max_iter=500):
 
     def evaluate(K):
         W = Q + K.T @ R @ K
-        return solve_dlyap_cost(A + B @ K, 0.5 * (W + W.T))
+        return solve_dlyap_closed((A + B @ K).T, 0.5 * (W + W.T))
 
     K = np.asarray(K0, dtype=float)
     P = evaluate(K)

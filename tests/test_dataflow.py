@@ -14,7 +14,6 @@ from pgac import (
     ModelEstimate,
     batch_least_squares,
     benchmark_plant,
-    pe_check,
     rls_update,
     snr_reading,
 )
@@ -29,13 +28,13 @@ def stable_plant():
 
 def test_underdetermined_record_is_not_pe():
     rec = DataRecord(3, 3)
-    assert not pe_check(rec, 1e-12)
     with pytest.raises(ValueError):
         snr_reading(rec)
     rng = np.random.default_rng(1)
     for _ in range(5):  # five samples < m + n = 6 unknown columns
         rec.append(rng.standard_normal(3), rng.standard_normal(3),
                    rng.standard_normal(3), rng.standard_normal(3))
+    assert snr_reading(rec).gamma < 1e-12
     with pytest.raises(NotPersistentlyExciting):
         rec.phi_inv
     with pytest.raises(NotPersistentlyExciting):
@@ -172,11 +171,12 @@ def test_residual_scale_shrinks_like_inverse_sqrt_t():
 
 
 def test_pe_check_rate_on_benchmark():
+    # persistency of excitation at level 1e-3: sigma_min(Phi) >= 1e-3
     plant = benchmark_plant()
     hits = 0
     for seed in range(100):
         rec = simulate_record(plant, np.random.default_rng(seed), 100)
-        hits += bool(pe_check(rec, 1e-3))
+        hits += bool(snr_reading(rec).gamma >= 1e-3)
     assert hits >= 95
 
 
@@ -184,8 +184,7 @@ def test_identity_record_properties():
     rec = identity_record(2, 3)
     assert np.allclose(rec.phi, np.eye(5), atol=1e-12)
     assert np.allclose(rec.phi_inv, np.eye(5), atol=1e-10)
-    assert pe_check(rec, 1.0)
-    assert not pe_check(rec, 1.0 + 1e-6)
+    assert 1.0 <= snr_reading(rec).gamma < 1.0 + 1e-6
 
 
 def test_snr_requires_noise_log():

@@ -325,6 +325,14 @@ def test_config_mapping_requirements():
     # no divergence threshold at all is a valid choice
     cfg = config_from_mapping({**base, "divergence_threshold": "inf"})
     assert cfg.divergence_threshold == math.inf
+    # a gain that does not fit the plant fails when the plant is built,
+    # before any trial runs
+    explicit = {"plant": "explicit", "A": "[[0.5]]", "B": "[[1.0]]",
+                "Q": "[[1.0]]", "R": "[[1.0]]"}
+    for plant, shape in (({}, r"\(3, 3\)"), (explicit, r"\(1, 1\)")):
+        cfg = config_from_mapping({**base, **plant, "initial_gain": "[[1.0, 2.0]]"})
+        with pytest.raises(ConfigError, match=shape):
+            cfg.reference()
 
 
 def test_config_mapping_defaults_and_explicit_plant():
@@ -426,6 +434,16 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert not (tmp_path / "n").exists()
     missing = tmp_path / "missing.cfg"
     assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path)]) in (2, 3)
+    wide_gain = tmp_path / "wide_gain.cfg"
+    wide_gain.write_text("method = indirect_natural\neta = 0.2\ntrials = 2\nT = 5\n"
+                         "initial_gain = [[1.0, 2.0]]\n")
+    for jobs in ("1", "2"):
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(wide_gain), "--out", str(tmp_path / "g"),
+                         "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial_gain must have shape (3, 3)")
+    assert not (tmp_path / "g").exists()
 
 
 def test_cli_nonpositive_jobs_exits_2(tmp_path):

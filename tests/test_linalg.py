@@ -22,14 +22,12 @@ from pgac import (
     lyapunov_solve_count,
     nullspace_projector,
     optimal_gain,
-    right_pinv,
     solve_dlyap_closed,
-    solve_dlyap_cost,
     solve_riccati_hewer,
     spectral_radius,
     sqrt_spd,
 )
-from pgac.errors import NoConvergence, NonSymmetric, NotPD, NotStabilizing, NotStable, RankDeficient
+from pgac.errors import NoConvergence, NonSymmetric, NotPD, NotStabilizing, NotStable
 from pgac.linalg import _solve_dlyap_stable, is_stabilizing, symmetrize
 from pgac.plant import true_costs
 
@@ -60,7 +58,7 @@ def test_dlyap_diagonal_pair():
     expected = np.diag([100.0 / 19.0, 4.0 / 3.0])
     assert np.allclose(solve_dlyap_closed(F, np.eye(2)), expected, atol=1e-12)
     # diagonal F: the transposed-direction equation has the same solution
-    assert np.allclose(solve_dlyap_cost(F, np.eye(2)), expected, atol=1e-12)
+    assert np.allclose(solve_dlyap_closed(F.T, np.eye(2)), expected, atol=1e-12)
 
 
 def test_dlyap_matches_truncated_series():
@@ -72,7 +70,7 @@ def test_dlyap_matches_truncated_series():
         X = solve_dlyap_closed(F, W)
         assert np.allclose(X, series_dlyap_closed(F, W), rtol=1e-8, atol=1e-10)
         assert np.allclose(X, F @ X @ F.T + W, rtol=1e-9, atol=1e-9)
-        Y = solve_dlyap_cost(F, W)
+        Y = solve_dlyap_closed(F.T, W)
         assert np.allclose(Y, series_dlyap_cost(F, W), rtol=1e-8, atol=1e-10)
         assert np.allclose(Y, F.T @ Y @ F + W, rtol=1e-9, atol=1e-9)
         assert np.allclose(X, X.T, atol=1e-12)
@@ -88,7 +86,7 @@ def test_dlyap_rejects_bad_inputs():
     with pytest.raises(NotStable):
         solve_dlyap_closed(np.eye(2), np.eye(2))
     with pytest.raises(NotStable):
-        solve_dlyap_cost(1.5 * np.eye(2), np.eye(2))
+        solve_dlyap_closed((1.5 * np.eye(2)).T, np.eye(2))
 
 
 def test_lyapunov_solve_counter_increments():
@@ -96,7 +94,7 @@ def test_lyapunov_solve_counter_increments():
     before = lyapunov_solve_count()
     solve_dlyap_closed(F, np.eye(2))
     assert lyapunov_solve_count() == before + 1
-    solve_dlyap_cost(F, np.eye(2))
+    solve_dlyap_closed(F.T, np.eye(2))
     assert lyapunov_solve_count() == before + 2
 
 
@@ -234,26 +232,6 @@ def test_is_stabilizing_margin(monkeypatch):
                 is_stabilizing(np.stack([small, F]), margin)
     with pytest.raises(ValueError):
         is_stabilizing(np.zeros((2, 3)))
-
-
-def test_right_pinv_wide_row():
-    A = np.array([[1.0, 0.0]])
-    assert np.allclose(right_pinv(A), np.array([[1.0], [0.0]]), atol=1e-14)
-
-
-def test_right_pinv_sweep_and_rank_failure():
-    rng = np.random.default_rng(202)
-    for _ in range(50):
-        m = int(rng.integers(1, 4))
-        n = m + int(rng.integers(0, 4))
-        A = rng.standard_normal((m, n))
-        Ap = right_pinv(A)
-        assert np.allclose(A @ Ap, np.eye(m), atol=1e-9)
-        assert np.allclose(Ap, A.T @ np.linalg.inv(A @ A.T), atol=1e-8)
-    with pytest.raises(RankDeficient):
-        right_pinv(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    with pytest.raises(RankDeficient):
-        right_pinv(np.zeros((1, 3)))
 
 
 def test_nullspace_projector_block_structure():

@@ -12,7 +12,6 @@ from pgac import (
     lqr_cost,
     lyapunov_solve_count,
     optimal_gain,
-    sequential_stability_check,
     step,
     strong_stability_certificate,
 )
@@ -258,36 +257,3 @@ def test_certificate_benchmark_inequalities():
     with pytest.raises(CertificateViolated):
         strong_stability_certificate(plant, K_star, tol=0.0)
 
-
-def test_sequential_check_accepts_slow_homotopy():
-    plant = benchmark_plant()
-    K_star, _ = optimal_gain(plant)
-    gains = [K_star * s for s in np.linspace(0.9999, 1.0, 6)]
-    cert = strong_stability_certificate(plant, gains[0])
-    report = sequential_stability_check(plant, gains, cert.kappa, cert.alpha)
-    assert report.passed
-    assert report.checked == 6
-    assert report.first_violation is None
-    assert report.condition_failures == {"i": 0, "ii": 0, "iii": 0}
-    assert report.condition_passes["iii"] == 5  # pairwise condition
-
-
-def test_sequential_check_flags_gain_jump():
-    plant = benchmark_plant()
-    K_star, _ = optimal_gain(plant)
-    cert = strong_stability_certificate(plant, K_star)
-    gains = [K_star, K_star, 0.2 * K_star, K_star]
-    report = sequential_stability_check(plant, gains, cert.kappa, cert.alpha)
-    assert not report.passed
-    assert report.first_violation is not None
-    assert sum(report.condition_failures.values()) >= 1
-
-
-def test_sequential_check_vacuous_cases():
-    plant = benchmark_plant()
-    K_star, _ = optimal_gain(plant)
-    cert = strong_stability_certificate(plant, K_star)
-    empty = sequential_stability_check(plant, [], cert.kappa, cert.alpha)
-    assert empty.passed and empty.checked == 0
-    single = sequential_stability_check(plant, [K_star], cert.kappa, cert.alpha)
-    assert single.passed and single.checked == 1
