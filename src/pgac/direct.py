@@ -99,8 +99,8 @@ def regularized_direct_gradient(record, V, Q, R, lam=0.0):
 
 
 def _projector(record):
-    # Pi depends on Xbar0 alone, so the stepsize rule (through scaling_matrix)
-    # and the step itself share one SVD per sample.
+    # Pi depends on Xbar0 alone, so scaling_matrix and projected_step share
+    # one SVD per sample.
     return record.cached("nullspace_projector", lambda rec: nullspace_projector(rec.xbar0))
 
 
@@ -121,8 +121,12 @@ def projected_step(record, V, Q, R, eta, lam=0.0):
 def scaling_matrix(record):
     """The data-dependent metric M = Ubar Pi Ubar' relating one projected
     direct step to a preconditioned indirect step; positive definite with
-    sigma_min(M) >= sigma_min(Phi)^2 under persistency of excitation."""
-    return symmetrize(record.ubar @ _projector(record) @ record.ubar.T)
+    sigma_min(M) >= sigma_min(Phi)^2 under persistency of excitation.
+
+    Built once per sample, so a stepsize rule and the step share one M."""
+    return record.cached(
+        "scaling_matrix", lambda rec: symmetrize(rec.ubar @ _projector(rec) @ rec.ubar.T)
+    )
 
 
 def natural_direct_step(record, K, Q, R, eta, lam=0.0):
@@ -131,6 +135,5 @@ def natural_direct_step(record, K, Q, R, eta, lam=0.0):
     Equivalent to the indirect natural step at the batch least-squares
     estimate implied by the record; implemented through that identity.
     """
-    return natural_step(
-        batch_least_squares(record), Q, R, K, eta, phi_inv=record.phi_inv, lam=lam
-    )
+    estimate = record.cached("estimate", batch_least_squares)
+    return natural_step(estimate, Q, R, K, eta, phi_inv=record.phi_inv, lam=lam)

@@ -136,15 +136,19 @@ class ExperimentConfig:
         Built and solved on the first call, then kept by the config, so the
         trials of a config share one optimum, in pool workers too when the
         config is sent after this call.  ``dataclasses.replace`` starts over.
-        Raises ``ConfigError`` when ``initial_gain`` is not (m, n).
+        Raises ``ConfigError`` when ``initial_gain`` is not a finite (m, n)
+        matrix.
         """
         if self._reference is None:
             plant = self.build_plant()
             shape = (plant.m, plant.n)
-            if self.initial_gain is not None and np.shape(self.initial_gain) != shape:
-                raise ConfigError(
-                    f"initial_gain must have shape {shape}, got {np.shape(self.initial_gain)}"
-                )
+            if self.initial_gain is not None:
+                if np.shape(self.initial_gain) != shape:
+                    raise ConfigError(
+                        f"initial_gain must have shape {shape}, got {np.shape(self.initial_gain)}"
+                    )
+                if not np.isfinite(self.initial_gain).all():
+                    raise ConfigError("initial_gain must be finite")
             _, opt = optimal_gain(plant)
             self._reference = (plant, opt.cost)
         return self._reference

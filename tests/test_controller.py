@@ -16,10 +16,13 @@ from pgac import (
     InverseSqrtLambda,
     Method,
     ZeroLambda,
+    batch_least_squares,
     benchmark_plant,
     hewer_iterates,
     lyapunov_solve_count,
     optimal_gain,
+    parameterize,
+    projected_step,
     solve_riccati_hewer,
 )
 from pgac.controller import advance, control_input, initialize, lambda_value, stepsize
@@ -126,8 +129,7 @@ def test_initialize_noiseless_finds_optimal_gain():
     state = initialize(spec, plant.Q, plant.R, noiseless_record())
     K_star, _ = optimal_gain(plant)
     assert np.linalg.norm(state.gain - K_star) < 1e-6
-    assert state.status == "running"
-    assert state.t == 40
+    assert state.record.t == 40
     assert math.isnan(state.last_eta)
     assert state.last_lambda == 0.0
 
@@ -208,7 +210,6 @@ def test_stationarity_at_optimum(method, rule):
     state = initialize(make_spec(method, rule), plant.Q, plant.R, noiseless_record())
     K0 = state.gain.copy()
     gains = rollout(state, plant, 5)
-    assert state.status == "running"
     assert not state.last_skipped
     for K in gains:
         assert np.linalg.norm(K - K0) < 1e-6
@@ -220,7 +221,7 @@ def test_adaptive_hewer_replays_policy_iteration():
     state = initialize(ControllerSpec("adaptive_hewer"), plant.Q, plant.R, rec)
     K0 = 0.8 * state.gain
     state = initialize(ControllerSpec("adaptive_hewer"), plant.Q, plant.R, rec, K_init=K0)
-    est = state.estimate
+    est = batch_least_squares(state.record)
     reference = hewer_iterates(est.Ahat, est.Bhat, plant.Q, plant.R, K0)
     next(reference)  # first pair evaluates K0 itself
     gains = rollout(state, plant, 10)
@@ -240,8 +241,8 @@ def test_one_shot_tracks_estimate_optimum():
         w = rng.standard_normal(3)
         x_next = plant.A @ x + plant.B @ u + w
         advance(state, x, u, x_next, w_oracle=w)
-        sol = solve_riccati_hewer(state.estimate.Ahat, state.estimate.Bhat,
-                                  plant.Q, plant.R)
+        est = batch_least_squares(state.record)
+        sol = solve_riccati_hewer(est.Ahat, est.Bhat, plant.Q, plant.R)
         assert np.allclose(state.gain, sol.gain, atol=1e-9)
         assert math.isnan(state.last_eta)
         x = x_next
@@ -386,19 +387,26 @@ def test_failed_update_is_skipped_not_fatal():
     advance(state, np.zeros(3), np.ones(3), np.zeros(3), np.zeros(3))
     assert state.last_skipped
     assert np.array_equal(state.gain, np.zeros((3, 3)))
-    assert state.status == "running"
     assert state.record.t == t_before + 1  # the sample is still banked
 
 
-def test_halted_state_is_inert():
+def test_direct_vanilla_step_is_the_projected_step():
+    # the controller takes the projected covariance step through its bridge,
+    # K - eta M grad Chat(K) at the batch estimate; compare it with the
+    # step taken in V on the same 50-sample record
     plant = benchmark_plant()
-    spec = ControllerSpec("indirect_vanilla", ConstantStep(0.02))
-    state = initialize(spec, plant.Q, plant.R, noiseless_record())
-    state.halt("testing")
-    assert state.status == "halted"
-    assert state.halt_reason == "testing"
-    g0 = state.gain.copy()
-    t0 = state.record.t
-    advance(state, np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    assert state.record.t == t0
-    assert np.array_equal(state.gain, g0)
+    for lam_rule, lam in ((ZeroLambda(), 0.0), (InverseSqrtLambda(0.1), 0.1)):
+        spec = ControllerSpec("direct_vanilla", InverseNormM(0.2), lambda_rule=lam_rule)
+        for seed in range(10):
+            rng = np.random.default_rng(700 + seed)
+            state = initialize(spec, plant.Q, plant.R, simulate_record(plant, rng, 49))
+            K = state.gain
+            x = rng.standard_normal(3)
+            u = control_input(state, x, rng.standard_normal(3))
+            w = rng.standard_normal(3)
+            advance(state, x, u, plant.A @ x + plant.B @ u + w, w_oracle=w)
+            rec = state.record
+            assert rec.t == 50 and state.last_lambda == lam and not state.last_skipped
+            _, K_ref = projected_step(rec, parameterize(rec, K), plant.Q, plant.R,
+                                      state.last_eta, lam=lam)
+            assert np.linalg.norm(state.gain - K_ref) <= 1e-10 * np.linalg.norm(K_ref)

@@ -333,6 +333,13 @@ def test_config_mapping_requirements():
         cfg = config_from_mapping({**base, **plant, "initial_gain": "[[1.0, 2.0]]"})
         with pytest.raises(ConfigError, match=shape):
             cfg.reference()
+    # and so does a non-finite gain from a library caller, before any trial
+    for value in (math.nan, math.inf):
+        cfg = small_config(initial_gain=np.full((3, 3), value), trials=2)
+        with pytest.raises(ConfigError, match="finite"):
+            cfg.reference()
+        with pytest.raises(ConfigError, match="finite"):
+            run_monte_carlo(cfg, jobs=2)
 
 
 def test_config_mapping_defaults_and_explicit_plant():
@@ -465,6 +472,18 @@ def test_adaptive_hewer_is_gauss_newton_at_half_step():
         for i in range(4):
             assert (trajectory_csv_text(run_trial(hewer, i))
                     == trajectory_csv_text(run_trial(newton, i)))
+
+
+def test_direct_natural_is_indirect_natural():
+    for lambda_rule in (ZeroLambda(), InverseSqrtLambda(0.1)):
+        direct, indirect = (
+            small_config(controller=ControllerSpec(method, ConstantStep(0.2),
+                                                   lambda_rule=lambda_rule),
+                         seed=5, horizon=300)
+            for method in ("direct_natural", "indirect_natural"))
+        for i in range(10):
+            assert (trajectory_csv_text(run_trial(direct, i))
+                    == trajectory_csv_text(run_trial(indirect, i)))
 
 
 def test_monitor_solves_once_per_updated_step(monkeypatch):
