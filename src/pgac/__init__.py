@@ -46,6 +46,7 @@ from .errors import (
     InitialGainUnstable,
     NegativeLambda,
     NoConvergence,
+    NonFiniteData,
     NonSymmetric,
     NotPD,
     NotPersistentlyExciting,

@@ -6,11 +6,12 @@ performs one policy update from the record's batch least-squares estimate,
 built once per sample and shared by every reader; the true plant matrices are
 never touched.
 
-Update failures (estimate not stabilized by the current gain, covariance not
-yet invertible, non-finite arithmetic) are absorbed: the transition is still
-logged, the gain is kept, and the step is flagged as skipped.  Divergence
-handling is the harness's job - it halts the loop when the state norm passes
-its threshold.
+A step has one failure path: it is skipped (the transition is still logged,
+the gain kept and ``last_skipped`` set) when the stepsize or the update raises
+``NotStabilizing``, ``NotPersistentlyExciting``, ``NoConvergence`` or
+``numpy.linalg.LinAlgError``, or gives a non-finite gain.  A transition that
+would make the record's moments non-finite raises ``NonFiniteData`` instead;
+halting is the harness's job.
 """
 
 import math
@@ -55,6 +56,13 @@ class ConstantStep:
 
     eta: float
 
+    def __post_init__(self):
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"constant stepsize must be positive and finite, got {self.eta}")
+
+    def __call__(self, record):
+        return self.eta
+
 
 @dataclass(frozen=True)
 class InverseNormM:
@@ -63,10 +71,25 @@ class InverseNormM:
 
     coeff: float
 
+    def __post_init__(self):
+        if not 0 < self.coeff < math.inf:
+            raise ValueError(f"InverseNormM coeff must be positive and finite, got {self.coeff}")
+
+    def __call__(self, record):
+        # the spectral norm, as np.linalg.norm(M, 2) takes it: the largest
+        # singular value, first in LAPACK's descending order
+        norm = float(np.linalg.svd(direct_engine.scaling_matrix(record), compute_uv=False)[0])
+        if norm <= 0.0:
+            raise NotPersistentlyExciting("scaling matrix is zero")
+        return self.coeff / norm
+
 
 @dataclass(frozen=True)
 class ZeroLambda:
     """No regularization."""
+
+    def __call__(self, t, t0):
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -75,6 +98,15 @@ class InverseSqrtLambda:
     lambda0 on the first online sample."""
 
     lambda0: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.lambda0):
+            raise ValueError(f"lambda0 must be finite, got {self.lambda0}")
+        if self.lambda0 < 0:
+            raise NegativeLambda(f"lambda0 must be nonnegative, got {self.lambda0}")
+
+    def __call__(self, t, t0):
+        return self.lambda0 if t == t0 else self.lambda0 / math.sqrt(t - t0)
 
 
 # Methods whose stepsize is part of their definition: adaptive Hewer is
@@ -104,50 +136,28 @@ class ControllerSpec:
     def __post_init__(self):
         method = Method(self.method)
         object.__setattr__(self, "method", method)
-        rule = self.stepsize_rule
         if method in FIXED_STEPSIZE_RULES:
             fixed = FIXED_STEPSIZE_RULES[method]
-            if rule is not None and rule != fixed:
+            if self.stepsize_rule not in (None, fixed):
                 raise RuleMismatch(
                     f"method {method.value} fixes its stepsize rule to {fixed!r}, "
-                    f"got {rule!r}"
+                    f"got {self.stepsize_rule!r}"
                 )
-            rule = fixed
-            object.__setattr__(self, "stepsize_rule", rule)
-        elif rule is None:
-            raise ValueError(f"method {method.value} requires a stepsize rule")
-        if rule is None:
-            pass
-        elif isinstance(rule, ConstantStep):
-            if not 0 < rule.eta < math.inf:
-                raise ValueError(
-                    f"constant stepsize must be positive and finite, got {rule.eta}"
-                )
-        elif isinstance(rule, InverseNormM):
-            if not 0 < rule.coeff < math.inf:
-                raise ValueError(
-                    "inverse-norm stepsize coefficient must be positive and finite, "
-                    f"got {rule.coeff}"
-                )
-            if method not in DIRECT_METHODS:
-                raise RuleMismatch(
-                    f"InverseNormM stepsizes require a direct method, got {method.value}"
-                )
-        else:
-            raise ValueError(f"unknown stepsize rule {rule!r}")
-        lam_rule = self.lambda_rule
-        if isinstance(lam_rule, InverseSqrtLambda):
-            if not math.isfinite(lam_rule.lambda0):
-                raise ValueError(f"lambda0 must be finite, got {lam_rule.lambda0}")
-            if lam_rule.lambda0 < 0:
-                raise NegativeLambda(
-                    f"lambda0 must be nonnegative, got {lam_rule.lambda0}"
-                )
-        elif not isinstance(lam_rule, ZeroLambda):
-            raise ValueError(f"unknown lambda rule {lam_rule!r}")
-        if method is Method.ONE_SHOT_CE and not isinstance(lam_rule, ZeroLambda):
+            object.__setattr__(self, "stepsize_rule", fixed)
+        elif not isinstance(self.stepsize_rule, (ConstantStep, InverseNormM)):
+            raise ValueError(
+                f"method {method.value} requires a ConstantStep or InverseNormM stepsize "
+                f"rule, got {self.stepsize_rule!r}"
+            )
+        if isinstance(self.stepsize_rule, InverseNormM) and method not in DIRECT_METHODS:
             raise RuleMismatch(
-                f"method {method.value} does not regularize, got lambda rule {lam_rule!r}"
+                f"InverseNormM stepsizes require a direct method, got {method.value}"
+            )
+        if not isinstance(self.lambda_rule, (ZeroLambda, InverseSqrtLambda)):
+            raise ValueError(f"unknown lambda rule {self.lambda_rule!r}")
+        if method is Method.ONE_SHOT_CE and not isinstance(self.lambda_rule, ZeroLambda):
+            raise RuleMismatch(
+                f"method {method.value} does not regularize, got lambda rule {self.lambda_rule!r}"
             )
         if not 0 <= self.probe_std < math.inf:
             raise ValueError(
@@ -219,12 +229,7 @@ def lambda_value(spec, t, t0):
     """Regularization weight at sample count t (>= t0)."""
     if t < t0:
         raise ValueError(f"t={t} precedes the online phase start t0={t0}")
-    rule = spec.lambda_rule
-    if isinstance(rule, ZeroLambda):
-        return 0.0
-    if t == t0:
-        return rule.lambda0
-    return rule.lambda0 / math.sqrt(t - t0)
+    return spec.lambda_rule(t, t0)
 
 
 def stepsize(state):
@@ -232,19 +237,7 @@ def stepsize(state):
     method without one (OneShotCE re-solves the Riccati equation outright).
     """
     rule = state.spec.stepsize_rule
-    if rule is None:
-        return float("nan")
-    if isinstance(rule, ConstantStep):
-        return rule.eta
-    if isinstance(rule, InverseNormM):
-        M = direct_engine.scaling_matrix(state.record)
-        # the spectral norm, as np.linalg.norm(M, 2) takes it: the largest
-        # singular value, first in LAPACK's descending order
-        norm = float(np.linalg.svd(M, compute_uv=False)[0])
-        if norm <= 0.0:
-            raise NotPersistentlyExciting("scaling matrix is zero")
-        return rule.coeff / norm
-    raise RuleMismatch(f"unknown stepsize rule {rule!r}")
+    return math.nan if rule is None else rule(state.record)
 
 
 def _policy_update(state, eta, lam):
@@ -280,32 +273,21 @@ def advance(state, x, u, x_next, w_oracle=None):
     """Log one transition and perform one policy update.
 
     The transition is appended, then the gain is updated from the extended
-    record's moments and its batch least-squares estimate.  Any engine
-    failure leaves the gain in place and sets ``last_skipped``.
+    record's moments and its batch least-squares estimate.  A skip (see the
+    module docstring) keeps the gain and sets ``last_skipped``; ``last_eta``
+    is NaN when the stepsize failed.
     """
     state.record.append(u, x, x_next, w_oracle)
-    skip = False
-    lam = lambda_value(state.spec, state.record.t, state.t0)
+    state.last_lambda = lambda_value(state.spec, state.record.t, state.t0)
+    state.last_eta = math.nan
     try:
-        eta = stepsize(state)
-    except NotPersistentlyExciting:
-        eta = float("nan")
-        skip = True
-    state.last_lambda = lam
-    state.last_eta = eta
-    if not skip:
-        try:
-            K_next = _policy_update(state, eta, lam)
-            if np.isfinite(K_next).all():
-                state.gain = K_next
-            else:
-                skip = True
-        except (
-            NotStabilizing,
-            NotPersistentlyExciting,
-            NoConvergence,
-            np.linalg.LinAlgError,
-        ):
-            skip = True
-    state.last_skipped = skip
+        state.last_eta = stepsize(state)
+        K_next = _policy_update(state, state.last_eta, state.last_lambda)
+        if not np.isfinite(K_next).all():
+            raise FloatingPointError("the update gave a non-finite gain")
+    except (NotStabilizing, NotPersistentlyExciting, NoConvergence,
+            np.linalg.LinAlgError, FloatingPointError):
+        state.last_skipped = True
+    else:
+        state.gain, state.last_skipped = K_next, False
     return state

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NonFiniteData,
     NotPersistentlyExciting,
     OracleUnavailable,
 )
@@ -86,7 +87,9 @@ class DataRecord:
         """Log one transition (u_t, x_t, x_{t+1}) and update all moments.
 
         ``w`` is the true process noise, available in simulation only; pass
-        it consistently (always or never) if SNR readings are wanted.
+        it consistently (always or never) if SNR readings are wanted.  A
+        transition that would make a moment non-finite raises
+        ``NonFiniteData`` and leaves the record as it was.
         """
         u = np.asarray(u, dtype=float).reshape(-1)
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -104,7 +107,6 @@ class DataRecord:
             if w.shape != (self.n,):
                 raise DimensionMismatch(f"expected w ({self.n},), got {w.shape}")
             rows = np.concatenate([phi, x_next, w])
-            self._oracle_cols += 1
         # (t M + r phi') / (t + 1) for every moment M with a new sample r;
         # Wbar without a noise sample is t Wbar / (t + 1)
         t = self.t
@@ -113,6 +115,9 @@ class DataRecord:
         moments /= t + 1
         d = self.m + self.n
         moments[:d] = symmetrize(moments[:d])
+        if not np.isfinite(moments).all():
+            raise NonFiniteData(f"sample {t + 1} makes the data moments non-finite")
+        self._oracle_cols += w is not None
         self._moments = moments
         self.t = t + 1
         self._derived = {}

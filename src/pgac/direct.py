@@ -98,12 +98,6 @@ def regularized_direct_gradient(record, V, Q, R, lam=0.0):
     return 2.0 * core @ V @ ev.sigma
 
 
-def _projector(record):
-    # Pi depends on Xbar0 alone, so scaling_matrix and projected_step share
-    # one SVD per sample.
-    return record.cached("nullspace_projector", lambda rec: nullspace_projector(rec.xbar0))
-
-
 def projected_step(record, V, Q, R, eta, lam=0.0):
     """One projected-gradient update of the covariance policy.
 
@@ -113,7 +107,7 @@ def projected_step(record, V, Q, R, eta, lam=0.0):
     """
     V = np.asarray(V, dtype=float)
     grad = regularized_direct_gradient(record, V, Q, R, lam=lam)
-    V_next = V - eta * _projector(record) @ grad
+    V_next = V - eta * nullspace_projector(record.xbar0) @ grad
     K_next = record.ubar @ V_next
     return V_next, K_next
 
@@ -125,7 +119,8 @@ def scaling_matrix(record):
 
     Built once per sample, so a stepsize rule and the step share one M."""
     return record.cached(
-        "scaling_matrix", lambda rec: symmetrize(rec.ubar @ _projector(rec) @ rec.ubar.T)
+        "scaling_matrix",
+        lambda rec: symmetrize(rec.ubar @ nullspace_projector(rec.xbar0) @ rec.ubar.T),
     )
 
 

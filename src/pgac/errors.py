@@ -49,6 +49,10 @@ class NotPersistentlyExciting(PgacError):
     """Sample covariance of the logged data is singular (too little data)."""
 
 
+class NonFiniteData(PgacError):
+    """A sample would make the data moments non-finite (overflow)."""
+
+
 class OracleUnavailable(PgacError):
     """A simulation-only quantity was requested outside simulation."""
 

@@ -36,6 +36,7 @@ from .dataflow import DataRecord, snr_reading, snr_readings  # noqa: F401
 from .errors import (
     ConfigError,
     InitialGainUnstable,
+    NonFiniteData,
     NotPersistentlyExciting,
     PgacError,
 )
@@ -233,8 +234,10 @@ def run_trial(config, trial_index):
     Protocol: t0 offline steps driven by white inputs (true noises logged
     for the SNR oracle), certainty-equivalence initialization, then
     ``horizon`` online steps of probe + feedback + policy update.  The trial
-    halts when initialization fails, or when the state norm passes the
-    divergence threshold before a step or after the last one.
+    halts when initialization fails, when the state norm passes the
+    divergence threshold before a step or after the last one, or when a
+    sample would make the record's moments non-finite: "initialization: ..."
+    offline, "diverged: ..." online.
     """
     plant, cstar = config.reference()
     offline_rng = trial_rng(config.seed, trial_index, OFFLINE_STREAM)
@@ -245,19 +248,18 @@ def run_trial(config, trial_index):
     x = np.zeros(plant.n)
     z2_sum = 0.0
     avg_curve = []
-    for _ in range(config.t0):
-        u = config.sigma_u_offline * offline_rng.standard_normal(plant.m)
-        w = config.sigma_w * noise_rng.standard_normal(plant.n)
-        x_next, _ = step(plant, x, u, w)
-        record.append(u, x, x_next, w)
-        x = x_next
-
     rows, status, reason, initial_gap = [], "completed", None, math.inf
     try:
+        for _ in range(config.t0):
+            u = config.sigma_u_offline * offline_rng.standard_normal(plant.m)
+            w = config.sigma_w * noise_rng.standard_normal(plant.n)
+            x_next, _ = step(plant, x, u, w)
+            record.append(u, x, x_next, w)
+            x = x_next
         state = initialize(
             config.controller, plant.Q, plant.R, record, K_init=config.initial_gain
         )
-    except (InitialGainUnstable, NotPersistentlyExciting) as exc:
+    except (InitialGainUnstable, NotPersistentlyExciting, NonFiniteData) as exc:
         status, reason = "halted", f"initialization: {exc}"
     else:
         # The monitor (true cost and gap of the gain, SNR of the record) lags
@@ -270,30 +272,31 @@ def run_trial(config, trial_index):
         batch = max(1, 2**18 // (8 * plant.n**4))
         cost = true_costs(plant, state.gain[None]).item()
         initial_gap = gap = (cost - cstar) / cstar
-        measured, pending = state.gain, []
+        pending = []
         x_norm = float(np.linalg.norm(x))
-        # ``not >`` rather than ``<=``: a NaN state norm does not halt the loop
-        while (len(rows) + len(pending) < config.horizon
-               and not x_norm > config.divergence_threshold):
-            e = probe_rng.standard_normal(plant.m)
-            u = control_input(state, x, e)
-            w = config.sigma_w * noise_rng.standard_normal(plant.n)
-            x_next, z = step(plant, x, u, w)
-            tic = time.perf_counter()
-            advance(state, x, u, x_next, w)
-            dt = time.perf_counter() - tic if config.record_timing else 0.0
-            z2_sum += float(z @ z)
-            avg_curve.append(z2_sum / (len(avg_curve) + 1))
-            # a skipped update leaves the gain as it was
-            moved = state.gain if state.gain is not measured else None
-            measured = state.gain
-            x_norm = float(np.linalg.norm(x_next))
-            loop = (state.record.t, x_norm, state.last_lambda, state.last_eta,
-                    int(state.last_skipped), dt)
-            pending.append((loop, moved, state.record.phi, state.record.wbar))
-            if len(pending) == batch:
-                cost, gap = _monitor(plant, cstar, pending, rows, cost, gap)
-            x = x_next
+        try:
+            while (len(rows) + len(pending) < config.horizon
+                   and x_norm <= config.divergence_threshold):
+                e = probe_rng.standard_normal(plant.m)
+                u = control_input(state, x, e)
+                w = config.sigma_w * noise_rng.standard_normal(plant.n)
+                x_next, z = step(plant, x, u, w)
+                tic = time.perf_counter()
+                advance(state, x, u, x_next, w)
+                dt = time.perf_counter() - tic if config.record_timing else 0.0
+                z2_sum += float(z @ z)
+                avg_curve.append(z2_sum / (len(avg_curve) + 1))
+                x_norm = float(np.linalg.norm(x_next))
+                loop = (state.record.t, x_norm, state.last_lambda, state.last_eta,
+                        int(state.last_skipped), dt)
+                # a skipped update leaves the gain as it was
+                moved = None if state.last_skipped else state.gain
+                pending.append((loop, moved, state.record.phi, state.record.wbar))
+                if len(pending) == batch:
+                    cost, gap = _monitor(plant, cstar, pending, rows, cost, gap)
+                x = x_next
+        except NonFiniteData as exc:
+            status, reason = "halted", f"diverged: {exc}"
         if pending:
             _monitor(plant, cstar, pending, rows, cost, gap)
         if x_norm > config.divergence_threshold:
@@ -550,11 +553,9 @@ def config_from_mapping(mapping):
         plant = tuple(_parse(mapping, key, _matrix) for key in _PLANT_KEYS)
     if "method" not in mapping:
         raise ConfigError("key 'method' is required")
-    stepsize_rule, lambda_rule = _rule(mapping, "eta_rule"), _rule(mapping, "lambda_rule")
     try:
-        spec = ControllerSpec(
-            mapping["method"], stepsize_rule, lambda_rule, **_fields(mapping, _SPEC_FIELDS)
-        )
+        spec = ControllerSpec(mapping["method"], _rule(mapping, "eta_rule"),
+                              _rule(mapping, "lambda_rule"), **_fields(mapping, _SPEC_FIELDS))
         return ExperimentConfig(controller=spec, plant=plant, **_fields(mapping, _CONFIG_FIELDS))
     except ConfigError:
         raise

@@ -390,6 +390,38 @@ def test_failed_update_is_skipped_not_fatal():
     assert state.record.t == t_before + 1  # the sample is still banked
 
 
+def test_rules_check_their_own_parameters():
+    # a rule is checked when it is built, with or without a spec
+    with pytest.raises(ValueError):
+        ConstantStep(0.0)
+    with pytest.raises(ValueError):
+        InverseNormM(math.inf)
+    with pytest.raises(NegativeLambda):
+        InverseSqrtLambda(-1.0)
+    with pytest.raises(ValueError):
+        InverseSqrtLambda(math.nan)
+
+
+@pytest.mark.parametrize("M", [np.zeros((3, 3)), np.full((3, 3), np.nan)],
+                         ids=["NotPersistentlyExciting", "LinAlgError"])
+def test_failing_stepsize_is_a_skip(monkeypatch, M):
+    # a zero M makes InverseNormM raise NotPersistentlyExciting, a NaN M makes
+    # its SVD raise LinAlgError: both skip the step like a failed update
+    plant = benchmark_plant()
+    rng = np.random.default_rng(13)
+    spec = ControllerSpec("direct_vanilla", InverseNormM(0.2))
+    state = initialize(spec, plant.Q, plant.R, simulate_record(plant, rng, 40))
+    gain, t_before = state.gain.copy(), state.record.t
+    monkeypatch.setattr(pgac.direct, "scaling_matrix", lambda record: M)
+    x = rng.standard_normal(3)
+    u = control_input(state, x, rng.standard_normal(3))
+    w = rng.standard_normal(3)
+    advance(state, x, u, plant.A @ x + plant.B @ u + w, w_oracle=w)
+    assert state.last_skipped and math.isnan(state.last_eta)
+    assert np.array_equal(state.gain, gain)
+    assert state.record.t == t_before + 1
+
+
 def test_direct_vanilla_step_is_the_projected_step():
     # the controller takes the projected covariance step through its bridge,
     # K - eta M grad Chat(K) at the batch estimate; compare it with the

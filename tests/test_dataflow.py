@@ -18,7 +18,7 @@ from pgac import (
     snr_reading,
 )
 from pgac.dataflow import snr_readings
-from pgac.errors import NotPersistentlyExciting, OracleUnavailable
+from pgac.errors import NonFiniteData, NotPersistentlyExciting, OracleUnavailable
 
 
 def stable_plant():
@@ -279,3 +279,25 @@ def test_fused_moment_update_equals_outer_form(noise_log):
     # rank-one updates since the first inversion at t = 2(m + n) + 1, less
     # the 1000 before the dense re-inversion
     assert rec._updates_since_inversion == ref._updates_since_inversion == steps - 11 - 1000
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_refused_append_leaves_the_record_as_it_was():
+    rec = simulate_record(benchmark_plant(), np.random.default_rng(17), 30)
+    rec.phi_inv  # noqa: B018 - make the tracked inverse exist
+    before = (rec.t, rec._moments.copy(), rec.phi_inv.copy(), rec.has_oracle)
+    ones = np.ones(3)
+    for u, x, x_next in ((1e200 * ones, ones, ones), (ones, 1e200 * ones, ones),
+                         (ones, np.full(3, np.nan), ones), (ones, ones, np.full(3, np.inf))):
+        with pytest.raises(NonFiniteData):
+            rec.append(u, x, x_next, ones)
+        assert (rec.t, rec.has_oracle) == (before[0], before[3])
+        assert np.array_equal(rec._moments, before[1])
+        assert np.array_equal(rec.phi_inv, before[2])
+    # a refused noise sample is not counted: one sample without a noise log
+    # never gains an oracle from a refused one with it
+    rec = DataRecord(1, 1)
+    rec.append([1.0], [1.0], [1.0])
+    with pytest.raises(NonFiniteData):
+        rec.append([1e200], [1.0], [1.0], [1.0])
+    assert rec.t == 1 and not rec.has_oracle

@@ -439,6 +439,15 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(nan_noise), "--out", str(tmp_path / "n")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "n").exists()
+    # the rules check their own parameters; a config still reports it as exit 2
+    for extra in ("eta = 0\n", "eta = -0.2\n", "eta_rule = inverse_norm_m\neta_coeff = 0\n",
+                  "eta = 0.2\nlambda_rule = inverse_sqrt\nlambda0 = -1\n"):
+        bad_rule = tmp_path / "bad_rule.cfg"
+        bad_rule.write_text("method = direct_vanilla\n" + extra)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(bad_rule), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "r").exists()
     missing = tmp_path / "missing.cfg"
     assert cli.main(["run", "--config", str(missing), "--out", str(tmp_path)]) in (2, 3)
     wide_gain = tmp_path / "wide_gain.cfg"
@@ -663,3 +672,43 @@ def test_cli_module_entry_point(tmp_path):
         capture_output=True, text=True, cwd=str(tmp_path), env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.csv").is_file()
+
+
+# Finite inputs whose samples overflow the data moments; each trial must halt
+# with a reason instead of crashing (offline: initialization, online: diverged).
+OVERFLOW_BASE = "method = indirect_vanilla\neta = 0.2\nT = 50\ntrials = 2\nseed = 1\n"
+INF_PLANT = ("plant = explicit\nA = [[1.5, 0.0], [0.0, 1.2]]\nB = [[1.0], [0.5]]\n"
+             "Q = [[1.0, 0.0], [0.0, 1.0]]\nR = [[1.0]]\ninitial_gain = [[0.0, 0.0]]\n"
+             "T = 3000\ndivergence_threshold = inf\n")
+OVERFLOW_CASES = {
+    "probe_std": (OVERFLOW_BASE + "probe_std = 1e200\n", "diverged: "),
+    "initial_gain": (OVERFLOW_BASE + "initial_gain = [[1e200, 0.0, 0.0], [0.0, 1e200, 0.0], "
+                     "[0.0, 0.0, 1e200]]\n", "diverged: "),
+    "sigma_u_offline": (OVERFLOW_BASE + "sigma_u_offline = 1e200\n", "initialization: "),
+    "sigma_w": (OVERFLOW_BASE + "sigma_w = 1e200\n", "initialization: "),
+    "inf_threshold_direct": (INF_PLANT + "method = direct_vanilla\neta_rule = inverse_norm_m\n"
+                             "eta_coeff = 0.2\ntrials = 2\nseed = 1\n", "diverged: "),
+    "inf_threshold_indirect": (INF_PLANT + "method = indirect_vanilla\neta = 0.2\n"
+                               "trials = 2\nseed = 1\n", "diverged: "),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_overflowing_inputs_halt_every_trial(tmp_path, capsys, case):
+    text, prefix = OVERFLOW_CASES[case]
+    path = tmp_path / "overflow.cfg"
+    path.write_text(text)
+    for jobs in (1, 2):
+        summary = run_monte_carlo(load_config(str(path)), jobs=jobs)
+        assert summary.convergence_rate == 0.0
+        for log in summary.logs:
+            assert log.status == "halted"
+            assert log.halt_reason.startswith(prefix) and "non-finite" in log.halt_reason
+            assert all(np.isfinite(row[3]) for row in log.rows)
+        out = tmp_path / f"out{jobs}"
+        assert cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[2] == "0.0"
+        assert len(read_trajectory_csv(out / f"{summary.method}_trial001.csv")) == len(
+            summary.logs[1].rows)
