@@ -72,7 +72,6 @@ from .harness import (
     run_trial,
 )
 from .indirect import (
-    RegularizedWeights,
     gauss_newton_step,
     natural_step,
     regularized_cost,

@@ -228,6 +228,7 @@ def _monitor(plant, cstar, pending, rows, cost, gap):
     return cost, gap
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_trial(config, trial_index):
     """Run one seeded closed-loop trial and return its TrajectoryLog.
 
@@ -237,7 +238,9 @@ def run_trial(config, trial_index):
     halts when initialization fails, when the state norm passes the
     divergence threshold before a step or after the last one, or when a
     sample would make the record's moments non-finite: "initialization: ..."
-    offline, "diverged: ..." online.
+    offline, "diverged: ..." online.  Every non-finite value a trial meets
+    ends as such a halt or as a skipped update that names its reason, so
+    numpy's overflow and invalid-value warnings are silenced for the trial.
     """
     plant, cstar = config.reference()
     offline_rng = trial_rng(config.seed, trial_index, OFFLINE_STREAM)

@@ -1,17 +1,17 @@
 """Certainty-equivalence (indirect) policy-gradient engines.
 
 All engines evaluate the LQR cost landscape of the *estimated* model
-(Ahat, Bhat) at the current gain.  The vanilla gradient costs two Lyapunov
-solves (covariance + value matrix); the natural and Gauss-Newton steps have
-closed forms that need only the value matrix, i.e. a single solve.
+(Ahat, Bhat) at the current gain, each through one call of the regularized
+evaluator :func:`_value_and_direction`.  The vanilla gradient and the cost
+need two Lyapunov solves (value matrix + covariance); the natural and
+Gauss-Newton steps have closed forms that need only the value matrix, i.e.
+a single solve.
 
 Regularization follows the inverse-covariance scheme: the weights are
-inflated by lambda-scaled blocks of Phi^{-1}, which adds a cross term to the
-value recursion and to the gradient.  Every engine takes lambda; lambda = 0
-(the default) is the plain certainty-equivalence engine.
+inflated by lambda-scaled blocks of Phi^{-1} (input block first), which adds
+a cross term to the value recursion and to the gradient.  Every engine takes
+lambda; lambda = 0 (the default) is the plain certainty-equivalence engine.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,50 +20,31 @@ from .linalg import _solve_dlyap_stable, is_stabilizing, spectral_radius, symmet
 from .plant import CostEvaluation
 
 
-@dataclass
-class RegularizedWeights:
-    """Effective cost weights after inverse-covariance regularization.
+def _value_and_direction(estimate, Q, R, K, phi_inv, lam):
+    """Value matrix P of the regularized evaluation equation at K, the
+    descent direction core E with grad = 2 E Sigma, the closed loop F and the
+    regularized input weight R_lam.  Exactly one Lyapunov solve.
 
-    q_lambda = Q + lam * (Phi^{-1})_xx, r_lambda = R + lam * (Phi^{-1})_uu,
-    cross = lam * (Phi^{-1})_ux; everything reduces to (Q, R, 0) at lam = 0.
+    The weights are Q_lam = Q + lam (Phi^{-1})_xx, R_lam = R + lam
+    (Phi^{-1})_uu and the cross term C = lam (Phi^{-1})_ux; they are
+    (Q, R, 0) at lam = 0 or without phi_inv.
     """
-
-    q_lambda: np.ndarray
-    r_lambda: np.ndarray
-    cross: np.ndarray
-    lam: float
-
-    @classmethod
-    def build(cls, Q, R, phi_inv=None, lam=0.0):
-        """Partition phi_inv (input block first) and scale by lam."""
-        if lam < 0:
-            raise NegativeLambda(f"lambda must be nonnegative, got {lam}")
-        Q = np.asarray(Q, dtype=float)
-        R = np.asarray(R, dtype=float)
-        m = R.shape[0]
-        if lam == 0.0 or phi_inv is None:
-            return cls(q_lambda=Q, r_lambda=R, cross=np.zeros((m, Q.shape[0])), lam=0.0)
-        phi_inv = np.asarray(phi_inv, dtype=float)
-        return cls(
-            q_lambda=symmetrize(Q + lam * phi_inv[m:, m:]),
-            r_lambda=symmetrize(R + lam * phi_inv[:m, :m]),
-            cross=lam * phi_inv[:m, m:],
-            lam=float(lam),
-        )
-
-
-def _value_and_direction(estimate, weights, K):
-    """Value matrix of the (regularized) evaluation equation and the descent
-    direction core E with grad = 2 E Sigma.  Exactly one Lyapunov solve."""
+    if lam < 0:
+        raise NegativeLambda(f"lambda must be nonnegative, got {lam}")
+    Q = np.asarray(Q, dtype=float)
+    R = np.asarray(R, dtype=float)
     K = np.asarray(K, dtype=float)
+    m = R.shape[0]
+    if lam == 0.0 or phi_inv is None:
+        cross = np.zeros((m, Q.shape[0]))
+    else:
+        phi_inv = np.asarray(phi_inv, dtype=float)
+        Q = symmetrize(Q + lam * phi_inv[m:, m:])
+        R = symmetrize(R + lam * phi_inv[:m, :m])
+        cross = lam * phi_inv[:m, m:]
     A, B = estimate.Ahat, estimate.Bhat
     F = A + B @ K
-    W = symmetrize(
-        weights.q_lambda
-        + K.T @ weights.r_lambda @ K
-        + K.T @ weights.cross
-        + weights.cross.T @ K
-    )
+    W = symmetrize(Q + K.T @ R @ K + K.T @ cross + cross.T @ K)
     if not is_stabilizing(F):
         raise NotStabilizingForEstimate(
             f"gain gives spectral radius {spectral_radius(F):.6f} on the "
@@ -75,8 +56,8 @@ def _value_and_direction(estimate, weights, K):
         raise NotStabilizingForEstimate(
             f"evaluation equation is numerically singular: {exc}"
         ) from exc
-    E = weights.r_lambda @ K + B.T @ P @ F + weights.cross
-    return P, E, F
+    E = R @ K + B.T @ P @ F + cross
+    return P, E, F, R
 
 
 def regularized_gradient(estimate, Q, R, K, phi_inv=None, lam=0.0):
@@ -86,8 +67,7 @@ def regularized_gradient(estimate, Q, R, K, phi_inv=None, lam=0.0):
     cross-term value recursion and Sigma the plain closed-loop covariance;
     at lam = 0 this is the plain certainty-equivalence policy gradient.
     """
-    weights = RegularizedWeights.build(Q, R, phi_inv, lam)
-    _, E, F = _value_and_direction(estimate, weights, K)
+    _, E, F, _ = _value_and_direction(estimate, Q, R, K, phi_inv, lam)
     sigma = _solve_dlyap_stable(F, np.eye(F.shape[0]))
     return 2.0 * E @ sigma
 
@@ -96,8 +76,7 @@ def regularized_cost(estimate, Q, R, K, phi_inv=None, lam=0.0):
     """Regularized CE cost, the plain cost of the gain on the estimated model
     plus lam * trace(Phi^{-1} [K; I] Sigma [K; I]'), with its (regularized)
     value matrix and the plain closed-loop covariance (two solves)."""
-    weights = RegularizedWeights.build(Q, R, phi_inv, lam)
-    P, _, F = _value_and_direction(estimate, weights, K)
+    P, _, F, _ = _value_and_direction(estimate, Q, R, K, phi_inv, lam)
     sigma = _solve_dlyap_stable(F, np.eye(F.shape[0]))
     return CostEvaluation(cost=float(np.trace(P)), sigma=sigma, value=P)
 
@@ -110,9 +89,7 @@ def natural_step(estimate, Q, R, K, eta, phi_inv=None, lam=0.0):
     inverse-covariance regularization as the vanilla engine (experimental
     beyond the vanilla case).
     """
-    K = np.asarray(K, dtype=float)
-    weights = RegularizedWeights.build(Q, R, phi_inv, lam)
-    _, E, _ = _value_and_direction(estimate, weights, K)
+    _, E, _, _ = _value_and_direction(estimate, Q, R, K, phi_inv, lam)
     return K - 2.0 * eta * E
 
 
@@ -122,8 +99,6 @@ def gauss_newton_step(estimate, Q, R, K, eta, phi_inv=None, lam=0.0):
     K - 2 eta (R_lam + Bhat' P Bhat)^{-1} E; at eta = 1/2 this is exactly one
     policy-improvement step of Hewer's method on the estimated model.
     """
-    K = np.asarray(K, dtype=float)
-    weights = RegularizedWeights.build(Q, R, phi_inv, lam)
-    P, E, _ = _value_and_direction(estimate, weights, K)
-    G = weights.r_lambda + estimate.Bhat.T @ P @ estimate.Bhat
+    P, E, _, R_lam = _value_and_direction(estimate, Q, R, K, phi_inv, lam)
+    G = R_lam + estimate.Bhat.T @ P @ estimate.Bhat
     return K - 2.0 * eta * np.linalg.solve(G, E)

@@ -21,31 +21,18 @@ from .linalg import (
 )
 
 
+@dataclass
 class CostEvaluation:
     """LQR cost of a fixed gain together with its Lyapunov by-products.
 
     cost = trace((Q + K'RK) sigma) = trace(value), where sigma is the
     stationary closed-loop state covariance under unit process noise and
     value the policy-evaluation (value) matrix.
-
-    ``value`` may be given, or left to be solved from the closed loop F and
-    the stage weight W (value = W + F' value F) on its first read and kept
-    after that; an evaluation that is never asked for its value never pays
-    that solve.  Either form pickles.
     """
 
-    def __init__(self, cost, sigma, value=None, closed_loop=None, weight=None):
-        self.cost = cost
-        self.sigma = sigma
-        self._value = value
-        self._closed_loop = closed_loop
-        self._weight = weight
-
-    @property
-    def value(self):
-        if self._value is None:
-            self._value = _solve_dlyap_stable(self._closed_loop.T, self._weight)
-        return self._value
+    cost: float
+    sigma: np.ndarray
+    value: np.ndarray
 
 
 @dataclass
@@ -160,9 +147,8 @@ def true_costs(plant, gains):
 def lqr_cost(plant, K):
     """Infinite-horizon average LQR cost of the static feedback u = Kx.
 
-    Performs one Lyapunov solve (the state covariance sigma, which gives the
-    cost as trace((Q + K'RK) sigma)); the value matrix costs a second solve,
-    made on the first read of ``.value`` and not at all otherwise.  Raises
+    Performs two Lyapunov solves: the state covariance sigma, which gives
+    the cost as trace((Q + K'RK) sigma), and the value matrix.  Raises
     ``NotStabilizing`` when K fails to stabilize the plant.
     """
     F, W, cost, sigma = _stacked_cost(plant, np.asarray(K, dtype=float)[None])
@@ -170,7 +156,8 @@ def lqr_cost(plant, K):
         raise NotStabilizing(
             f"gain gives closed-loop spectral radius {spectral_radius(F[0]):.6f}"
         )
-    return CostEvaluation(cost=float(cost[0]), sigma=sigma[0], closed_loop=F[0], weight=W[0])
+    value = _solve_dlyap_stable(F[0].T, W[0])
+    return CostEvaluation(cost=float(cost[0]), sigma=sigma[0], value=value)
 
 
 def exact_gradient(plant, K):

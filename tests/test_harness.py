@@ -419,6 +419,21 @@ def test_cli_run_respects_overrides(tmp_path):
                      "--trials", "2", "--seed", "9"])
     assert code == 0
     assert (out / "indirect_natural_trial001.csv").is_file()
+    # --method replaces the config's method: the files are those of a config
+    # that names it
+    base = "eta = 0.2\nT = 30\ntrials = 2\nseed = 3\n"
+    for method in ("indirect_vanilla", "indirect_natural"):
+        (tmp_path / f"{method}.cfg").write_text(f"method = {method}\n" + base)
+    assert cli.main(["run", "--config", str(tmp_path / "indirect_vanilla.cfg"),
+                     "--out", str(tmp_path / "override"), "--method", "indirect_natural"]) == 0
+    assert cli.main(["run", "--config", str(tmp_path / "indirect_natural.cfg"),
+                     "--out", str(tmp_path / "named")]) == 0
+    names = sorted(p.name for p in (tmp_path / "named").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "override").iterdir())
+    assert "indirect_natural_trial001.csv" in names
+    for name in names:
+        assert (tmp_path / "override" / name).read_bytes() == (
+            tmp_path / "named" / name).read_bytes()
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):
@@ -693,9 +708,9 @@ OVERFLOW_CASES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
-def test_overflowing_inputs_halt_every_trial(tmp_path, capsys, case):
+def test_overflowing_inputs_halt_every_trial(tmp_path, capfd, case):
     text, prefix = OVERFLOW_CASES[case]
     path = tmp_path / "overflow.cfg"
     path.write_text(text)
@@ -709,6 +724,10 @@ def test_overflowing_inputs_halt_every_trial(tmp_path, capsys, case):
         out = tmp_path / f"out{jobs}"
         assert cli.main(["run", "--config", str(path), "--out", str(out),
                          "--jobs", str(jobs)]) == 0
-        assert capsys.readouterr().out.splitlines()[1].split(",")[2] == "0.0"
+        # the halt reasons say what overflowed: no numpy warning reaches
+        # stderr, from this process or from a pool worker
+        captured = capfd.readouterr()
+        assert captured.out.splitlines()[1].split(",")[2] == "0.0"
+        assert captured.err == ""
         assert len(read_trajectory_csv(out / f"{summary.method}_trial001.csv")) == len(
             summary.logs[1].rows)

@@ -5,7 +5,6 @@ from oracles import central_fd_gradient, gain_for_estimate, random_stabilizing_g
 from pgac import (
     LinearQuadraticPlant,
     ModelEstimate,
-    RegularizedWeights,
     batch_least_squares,
     benchmark_plant,
     exact_gradient,
@@ -75,28 +74,28 @@ def test_negative_lambda_rejected():
     est = true_estimate(plant)
     K_star, _ = optimal_gain(plant)
     with pytest.raises(NegativeLambda):
-        RegularizedWeights.build(plant.Q, plant.R, np.eye(6), -0.1)
+        regularized_cost(est, plant.Q, plant.R, K_star, np.eye(6), -0.1)
     with pytest.raises(NegativeLambda):
         regularized_gradient(est, plant.Q, plant.R, K_star, np.eye(6), -1e-3)
 
 
 def test_regularized_weights_block_layout():
+    # the penalty is lam * trace(Phi^{-1} [K; I] Sigma [K; I]') with the
+    # input block first; a non-isotropic Phi^{-1} tells the uu block from the
+    # xx block even at m = n
     plant = benchmark_plant()
+    est = true_estimate(plant)
     rng = np.random.default_rng(5)
-    S = rng.standard_normal((6, 6))
-    phi_inv = S @ S.T + np.eye(6)
-    lam = 0.3
-    w = RegularizedWeights.build(plant.Q, plant.R, phi_inv, lam)
-    assert np.allclose(w.r_lambda, plant.R + lam * phi_inv[:3, :3], atol=1e-12)
-    assert np.allclose(w.q_lambda, plant.Q + lam * phi_inv[3:, 3:], atol=1e-12)
-    assert np.allclose(w.cross, lam * phi_inv[:3, 3:], atol=1e-12)
-    assert w.lam == lam
-    for plain in (RegularizedWeights.build(plant.Q, plant.R),
-                  RegularizedWeights.build(plant.Q, plant.R, phi_inv, 0.0)):
-        assert np.array_equal(plain.q_lambda, plant.Q)
-        assert np.array_equal(plain.r_lambda, plant.R)
-        assert np.array_equal(plain.cross, np.zeros((3, 3)))
-        assert plain.lam == 0.0
+    for _ in range(10):
+        K = random_stabilizing_gain(plant, rng, spread=0.3)
+        S = rng.standard_normal((6, 6))
+        phi_inv = S @ S.T + np.eye(6)
+        lam = rng.uniform(0.01, 0.5)
+        base = regularized_cost(est, plant.Q, plant.R, K)
+        reg = regularized_cost(est, plant.Q, plant.R, K, phi_inv, lam).cost
+        KI = np.vstack([K, np.eye(3)])
+        penalty = lam * np.trace(phi_inv @ KI @ base.sigma @ KI.T)
+        assert abs(reg - base.cost - penalty) < 1e-10 * max(1.0, reg)
 
 
 def test_isotropic_regularizer_closed_form():

@@ -112,11 +112,9 @@ def test_evaluate_gain_solve_budget_and_error_type():
     before = lyapunov_solve_count()
     ev = lqr_cost(plant, K_star)
     assert ev.cost > 0 and ev.sigma.shape == (3, 3)
-    assert lyapunov_solve_count() == before + 1  # sigma only
-    value = ev.value
-    assert lyapunov_solve_count() == before + 2  # first read solves the value
-    assert ev.value is value
-    assert lyapunov_solve_count() == before + 2  # later reads reuse it
+    assert lyapunov_solve_count() == before + 2  # sigma and the value matrix
+    assert ev.value.shape == (3, 3)
+    assert lyapunov_solve_count() == before + 2  # a read solves nothing
     with pytest.raises(NotStabilizing):
         lqr_cost(plant, np.zeros((3, 3)))
 
@@ -164,7 +162,7 @@ def test_true_costs_equal_lqr_cost_per_gain(monkeypatch):
         assert systems == []  # no gain stabilizes: no solve at all
 
 
-def test_lazy_value_is_the_eager_solve(monkeypatch):
+def test_lazy_value_is_the_eager_solve():
     plant = benchmark_plant()
     K = random_stabilizing_gain(plant, np.random.default_rng(5), spread=0.3)
     F = plant.A + plant.B @ K
@@ -174,18 +172,10 @@ def test_lazy_value_is_the_eager_solve(monkeypatch):
     ev = lqr_cost(plant, K)
     assert np.array_equal(ev.sigma, sigma)
     assert ev.cost == float(np.trace(W @ sigma))
-    # a copy pickled before the read solves it the same way, through the
-    # solver as bound in pgac.plant
-    copy = pickle.loads(pickle.dumps(ev))
-    calls = []
-    monkeypatch.setattr(pgac.plant, "_solve_dlyap_stable",
-                        lambda *a: calls.append(1) or _solve_dlyap_stable(*a))
     assert np.array_equal(ev.value, eager)
-    assert np.array_equal(copy.value, eager)
+    copy = pickle.loads(pickle.dumps(ev))
     assert copy.cost == ev.cost and np.array_equal(copy.sigma, sigma)
-    assert len(calls) == 2
-    assert np.array_equal(pickle.loads(pickle.dumps(ev)).value, eager)
-    assert len(calls) == 2  # a solved value travels with the evaluation
+    assert np.array_equal(copy.value, eager)
 
 
 def test_exact_gradient_scalar_anchor():
