@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .harness import emit_csv, load_config, run_monte_carlo, summary_csv_text
+from .harness import check_run, emit_csv, load_config, run_monte_carlo, summary_csv_text
 
 
 def build_parser():
@@ -60,9 +60,12 @@ def cmd_run(args):
     )
     if args.timing:
         config = replace(config, record_timing=True)
-    summary = run_monte_carlo(config, jobs=args.jobs)
+    # a bad config or an output directory that cannot be made fails before
+    # any trial runs
+    check_run(config, args.jobs)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    summary = run_monte_carlo(config, jobs=args.jobs)
     for log in summary.logs:
         emit_csv(log, outdir / f"{summary.method}_trial{log.trial_index:03d}.csv")
     emit_csv(summary, outdir / "summary.csv")

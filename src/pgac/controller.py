@@ -3,17 +3,23 @@
 A controller owns a growing :class:`~pgac.dataflow.DataRecord` and a current
 feedback gain.  Each :func:`advance` logs one closed-loop transition and
 performs one policy update from the record's batch least-squares estimate,
-built once per sample and shared by every reader; the true plant matrices are
-never touched.
+built once per sample; the true plant matrices are never touched.
 
-A step has one failure path: it is skipped (the transition is still logged,
-the gain kept and ``last_skipped`` set) when the stepsize or the update raises
-``NotStabilizing``, ``NotPersistentlyExciting``, ``NoConvergence`` or
-``numpy.linalg.LinAlgError``, or gives a non-finite gain.  A transition that
-would make the record's moments non-finite raises ``NonFiniteData`` instead;
-halting is the harness's job.
+A state steps one trial, or the trials of a stacked record in lockstep: its
+gain, stepsize and skip flag then carry a leading trial axis.  The update
+runs on stacked kernels either way, a single trial being a stack of one, and
+each trial's numbers are bitwise those of its own run.
+
+A step has one failure path: a trial's step is skipped (the transition is
+still logged, the gain kept and ``last_skipped`` set) when its stepsize or
+its update fails (``NotStabilizing``, ``NotPersistentlyExciting``,
+``NoConvergence`` or ``numpy.linalg.LinAlgError`` where the step is taken on
+its own) or gives a non-finite gain.  A transition that would make the
+record's moments non-finite raises ``NonFiniteData`` instead; halting is the
+harness's job.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,8 +28,9 @@ import numpy as np
 
 from . import direct as direct_engine
 from . import indirect as indirect_engine
-# rls_update stays bound here because perfbench's tracer wraps it by this name.
-from .dataflow import batch_least_squares, rls_update  # noqa: F401
+# rls_update is bound here only so that perfbench's tracer can wrap it by
+# this name; no pgac code calls it here.
+from .dataflow import DataRecord, ModelEstimate, batch_least_squares, rls_update  # noqa: F401
 from .errors import (
     InitialGainUnstable,
     NegativeLambda,
@@ -32,7 +39,14 @@ from .errors import (
     NotStabilizing,
     RuleMismatch,
 )
-from .linalg import solve_riccati_hewer
+from .linalg import (
+    NOT_STABILIZING,
+    each_slice,
+    nested_mask,
+    policy_iterations,
+    select_slices,
+    solve_riccati_hewer,
+)
 
 
 class Method(str, Enum):
@@ -67,7 +81,9 @@ class ConstantStep:
 @dataclass(frozen=True)
 class InverseNormM:
     """Data-adaptive stepsize eta_t = coeff / ||M_t|| with M_t the scaling
-    matrix of the current record; direct methods only."""
+    matrix of the current record; direct methods only.  NaN, which skips the
+    step, where M is zero or its norm cannot be taken; one per trial of a
+    stacked record."""
 
     coeff: float
 
@@ -76,12 +92,19 @@ class InverseNormM:
             raise ValueError(f"InverseNormM coeff must be positive and finite, got {self.coeff}")
 
     def __call__(self, record):
+        M = direct_engine.scaling_matrix(record)
         # the spectral norm, as np.linalg.norm(M, 2) takes it: the largest
         # singular value, first in LAPACK's descending order
-        norm = float(np.linalg.svd(direct_engine.scaling_matrix(record), compute_uv=False)[0])
-        if norm <= 0.0:
-            raise NotPersistentlyExciting("scaling matrix is zero")
-        return self.coeff / norm
+        if M.ndim == 2:
+            try:
+                norm = float(np.linalg.svd(M, compute_uv=False)[0])
+            except np.linalg.LinAlgError:
+                return math.nan
+            return self.coeff / norm if norm > 0.0 else math.nan
+        top, ok = each_slice(lambda M: np.linalg.svd(M, compute_uv=False)[:, 0], M)
+        norm = np.full(len(M), math.nan)
+        norm[np.s_[:] if ok is None else ok] = top
+        return np.divide(self.coeff, norm, out=np.full(len(M), math.nan), where=norm > 0.0)
 
 
 @dataclass(frozen=True)
@@ -170,7 +193,11 @@ class ControllerState:
     """Mutable loop state: current gain, data record, bookkeeping.
 
     ``last_eta`` / ``last_lambda`` / ``last_skipped`` describe the most
-    recent advance.  Halting is the supervising loop's job.
+    recent advance.  A state of one trial holds an (m, n) gain and scalars;
+    :meth:`stack` joins such states into one that steps their trials in
+    lockstep, with a (k, m, n) gain, a stacked record and per-trial
+    ``last_eta`` and ``last_skipped`` arrays.  Halting is the supervising
+    loop's job.
     """
 
     spec: ControllerSpec
@@ -179,9 +206,29 @@ class ControllerState:
     gain: np.ndarray
     record: object
     t0: int
-    last_eta: float = float("nan")
+    last_eta: object = float("nan")
     last_lambda: float = 0.0
-    last_skipped: bool = False
+    last_skipped: object = False
+
+    @classmethod
+    def stack(cls, states):
+        """One state stepping the trials of single-trial states together."""
+        first, k = states[0], len(states)
+        return cls(spec=first.spec, Q=first.Q, R=first.R,
+                   gain=np.stack([state.gain for state in states]),
+                   record=DataRecord.stack([state.record for state in states]), t0=first.t0,
+                   last_eta=np.full(k, math.nan), last_skipped=np.zeros(k, dtype=bool))
+
+    def take(self, trials):
+        """The state of the selected trials of a stacked state: ``trials`` is
+        a boolean mask or index array, or an integer i for the single-trial
+        state of trial i."""
+        last_eta = self.last_eta if np.ndim(self.last_eta) == 0 else self.last_eta[trials]
+        last_skipped = self.last_skipped[trials]
+        if np.ndim(trials) == 0:
+            last_eta, last_skipped = float(last_eta), bool(last_skipped)
+        return dataclasses.replace(self, gain=self.gain[trials], record=self.record.take(trials),
+                                   last_eta=last_eta, last_skipped=last_skipped)
 
 
 def initialize(spec, Q, R, offline_record, K_init=None):
@@ -215,14 +262,18 @@ def initialize(spec, Q, R, offline_record, K_init=None):
 
 
 def control_input(state, x, probe_sample):
-    """Feedback plus scaled exploration: u = K x + probe_std * probe_sample.
+    """Feedback plus scaled exploration: u = K x + probe_std * probe_sample,
+    for one trial or for each of a stacked state.
 
     ``probe_sample`` should be a unit-variance draw; the spec's probe
     standard deviation is applied here.
     """
     x = np.asarray(x, dtype=float)
     probe_sample = np.asarray(probe_sample, dtype=float)
-    return state.gain @ x + state.spec.probe_std * probe_sample
+    # a stack's products as each gain times its trial's column, bitwise the
+    # products of each trial alone
+    feedback = state.gain @ x if x.ndim == 1 else (state.gain @ x[..., None])[..., 0]
+    return feedback + state.spec.probe_std * probe_sample
 
 
 def lambda_value(spec, t, t0):
@@ -240,37 +291,76 @@ def stepsize(state):
     return math.nan if rule is None else rule(state.record)
 
 
-def _policy_update(state, eta, lam):
-    method = state.spec.method
-    K, Q, R = state.gain, state.Q, state.R
-    record = state.record
-    est = record.cached("estimate", batch_least_squares)
-    phi_inv = record.phi_inv if lam > 0.0 else None
+def _one_shot(estimate, Q, R, K):
+    # Warm start from the current gain; when it, or an iterate it leads to,
+    # fails to stabilize the estimate, start over from scratch.  A stack of
+    # trials runs in lockstep, each trial restarting alone where needed.
+    A, B = estimate.Ahat, estimate.Bhat
+    if K.ndim == 2:
+        try:
+            return solve_riccati_hewer(A, B, Q, R, K0=K).gain
+        except NotStabilizing:
+            return solve_riccati_hewer(A, B, Q, R).gain
+    gains, status = policy_iterations(A, B, Q, R, K)
+    for i in np.flatnonzero(status == NOT_STABILIZING):
+        try:
+            gains[i] = solve_riccati_hewer(A[i], B[i], Q, R).gain
+        except (NotStabilizing, NoConvergence, np.linalg.LinAlgError):
+            pass
+    return gains
+
+
+def _policy_update(spec, Q, R, K, record, eta, lam):
+    """Next gain from the record's batch least-squares estimate.
+
+    For one trial, K is its gain and a failed update raises.  For a stacked
+    record, K is the (k, m, n) stack of gains and eta a float or one
+    stepsize per trial (NaN where the rule failed); the next gains are NaN
+    where a trial's update failed.
+    """
+    method = spec.method
+    phi_inv, live = record.inverse()
+    step_eta = eta
+    if isinstance(eta, np.ndarray):
+        failed = np.isnan(eta)
+        if failed.any():
+            live = ~failed if live is None else live & ~failed
+        step_eta = eta[:, None, None]
+    xbar1, gains = record.xbar1, K
+    if live is not None:
+        if not live.any():
+            return np.full(K.shape, math.nan)
+        xbar1, phi_inv, gains, step_eta = select_slices(live, xbar1, phi_inv, K, step_eta)
+    est = ModelEstimate.from_theta(xbar1 @ phi_inv, record.m)
+    phi_inv = phi_inv if lam > 0.0 else None
     if method in (Method.INDIRECT_VANILLA, Method.DIRECT_VANILLA):
-        grad = indirect_engine.regularized_gradient(est, Q, R, K, phi_inv, lam)
+        grad, keep = indirect_engine.gradients(est, Q, R, gains, phi_inv, lam)
+        gains, step_eta = select_slices(keep, gains, step_eta)
         if method is Method.DIRECT_VANILLA:
             # the projected covariance step Ubar Pi grad_V(V) equals the model
             # gradient preconditioned by M = Ubar Pi Ubar' (criterion 03)
-            grad = direct_engine.scaling_matrix(record) @ grad
-        return K - eta * grad
-    if method in (Method.INDIRECT_NATURAL, Method.DIRECT_NATURAL):
-        return indirect_engine.natural_step(est, Q, R, K, eta, phi_inv=phi_inv, lam=lam)
-    if method in (Method.INDIRECT_GAUSS_NEWTON, Method.ADAPTIVE_HEWER):
-        return indirect_engine.gauss_newton_step(
-            est, Q, R, K, eta, phi_inv=phi_inv, lam=lam
-        )
-    if method is Method.ONE_SHOT_CE:
-        # Warm start from the current gain; when it, or an iterate it leads
-        # to, fails to stabilize the estimate, start over from scratch.
-        try:
-            return solve_riccati_hewer(est.Ahat, est.Bhat, Q, R, K0=K).gain
-        except NotStabilizing:
-            return solve_riccati_hewer(est.Ahat, est.Bhat, Q, R).gain
-    raise RuleMismatch(f"unknown method {method!r}")
+            M = direct_engine.scaling_matrix(record)
+            grad = select_slices(nested_mask(live, keep), M)[0] @ grad
+        step = gains - step_eta * grad
+    elif method in (Method.INDIRECT_NATURAL, Method.DIRECT_NATURAL):
+        step, keep = indirect_engine.natural_steps(est, Q, R, gains, step_eta, phi_inv, lam)
+    elif method in (Method.INDIRECT_GAUSS_NEWTON, Method.ADAPTIVE_HEWER):
+        step, keep = indirect_engine.gauss_newton_steps(est, Q, R, gains, step_eta, phi_inv, lam)
+    elif method is Method.ONE_SHOT_CE:
+        step, keep = _one_shot(est, Q, R, gains), None
+    else:
+        raise RuleMismatch(f"unknown method {method!r}")
+    if live is None and keep is None:
+        return step
+    updated = nested_mask(live, keep)
+    K_next = np.full(K.shape, math.nan)
+    K_next[updated] = step
+    return K_next
 
 
 def advance(state, x, u, x_next, w_oracle=None):
-    """Log one transition and perform one policy update.
+    """Log one transition and perform one policy update, for one trial or
+    for each trial of a stacked state.
 
     The transition is appended, then the gain is updated from the extended
     record's moments and its batch least-squares estimate.  A skip (see the
@@ -279,15 +369,26 @@ def advance(state, x, u, x_next, w_oracle=None):
     """
     state.record.append(u, x, x_next, w_oracle)
     state.last_lambda = lambda_value(state.spec, state.record.t, state.t0)
-    state.last_eta = math.nan
-    try:
-        state.last_eta = stepsize(state)
-        K_next = _policy_update(state, state.last_eta, state.last_lambda)
-        if not np.isfinite(K_next).all():
-            raise FloatingPointError("the update gave a non-finite gain")
-    except (NotStabilizing, NotPersistentlyExciting, NoConvergence,
-            np.linalg.LinAlgError, FloatingPointError):
+    state.last_eta = stepsize(state)
+    K = state.gain
+    if K.ndim == 2:
         state.last_skipped = True
+        if state.spec.stepsize_rule is None or not math.isnan(state.last_eta):
+            try:
+                K_next = _policy_update(state.spec, state.Q, state.R, K, state.record,
+                                        state.last_eta, state.last_lambda)
+            except (NotStabilizing, NotPersistentlyExciting, NoConvergence,
+                    np.linalg.LinAlgError):
+                pass
+            else:
+                if np.isfinite(K_next).all():
+                    state.gain, state.last_skipped = K_next, False
+        return state
+    K_next = _policy_update(state.spec, state.Q, state.R, K, state.record,
+                            state.last_eta, state.last_lambda)
+    if np.isfinite(K_next).all():
+        state.gain, state.last_skipped = K_next, np.zeros(len(K), dtype=bool)
     else:
-        state.gain, state.last_skipped = K_next, False
+        moved = np.isfinite(K_next).all(axis=(-2, -1))
+        state.gain, state.last_skipped = np.where(moved[:, None, None], K_next, K), ~moved
     return state

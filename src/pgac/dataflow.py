@@ -17,11 +17,12 @@ from .errors import (
     NotPersistentlyExciting,
     OracleUnavailable,
 )
-from .linalg import symmetrize
+from .linalg import each_slice, symmetrize
 
 
 class DataRecord:
-    """Growing record of one closed-loop trajectory.
+    """Growing record of one closed-loop trajectory, or of ``trials`` of them
+    stepped together.
 
     Keeps only moments, O((m+n)^2) memory whatever the length: the running
     sample covariance Phi = D0 D0' / t of the stacked data D0 = [U0; X0] and
@@ -29,6 +30,10 @@ class DataRecord:
     Wbar = W0 D0'/t.  All of them are row blocks of one stacked moment block
     [Phi; Xbar1; Wbar] (Ubar and Xbar0 are the row blocks of Phi), which a
     transition updates in one rank-one step, and are exposed as its views.
+    A record of ``trials`` trajectories keeps a leading trial axis on every
+    array and view; its trials share the sample count t.  Every operation is
+    elementwise across that axis or a stacked kernel, so each trial's arrays
+    are bitwise those of a record of that trial alone.
 
     The inverse of Phi is tracked with rank-one (Sherman-Morrison) updates
     once available and re-inverted densely every ``reinvert_every`` updates
@@ -42,81 +47,121 @@ class DataRecord:
     relies on this.
     """
 
-    def __init__(self, m, n, reinvert_every=1000):
+    def __init__(self, m, n, reinvert_every=1000, trials=None):
         if m < 1 or n < 1:
             raise DimensionMismatch(f"need m >= 1 and n >= 1, got m={m}, n={n}")
         self.m = int(m)
         self.n = int(n)
         self.t = 0
         d = self.m + self.n
+        lead = () if trials is None else (int(trials),)
         self._oracle_cols = 0
         # rows [0, d) hold Phi, [d, d + n) Xbar1 and [d + n, d + 2n) Wbar
-        self._moments = np.zeros((d + 2 * self.n, d))
-        self._phi_inv = None
-        self._updates_since_inversion = 0
+        self._moments = np.zeros(lead + (d + 2 * self.n, d))
+        # A trial's inverse is NaN until it is first inverted, and again
+        # while its Phi is too close to singular to invert.  The per-trial
+        # flags and sample counts of the last dense inversion have one entry
+        # for a single record.
+        self._phi_inv = np.full(lead + (d, d), np.nan)
+        self._inverted = np.zeros(lead or (1,), dtype=bool)
+        self._inverted_at = np.zeros(lead or (1,), dtype=int)
         self._reinvert_every = int(reinvert_every)
         self._derived = {}
+        self._sync()
+
+    def _sync(self):
+        # Python-level summaries of the per-trial flags, so that an append
+        # reads them without a numpy call: whether all or any trial has an
+        # inverse, and the sample count at which the next one is due for
+        # dense re-inversion.
+        self._all_inverted = bool(self._inverted.all())
+        self._any_inverted = bool(self._inverted.any())
+        self._next_dense = (int(self._inverted_at[self._inverted].min()) + self._reinvert_every
+                            if self._any_inverted else math.inf)
+
+    @property
+    def _updates_since_inversion(self):
+        # rank-one updates since each trial's last dense inversion
+        return np.where(self._inverted, self.t - self._inverted_at, 0)
 
     # -- construction helpers -------------------------------------------------
 
-    @classmethod
-    def from_arrays(cls, U0, X0, X1, W0=None, reinvert_every=1000):
-        """Build a record by replaying column arrays through append."""
-        U0 = np.atleast_2d(np.asarray(U0, dtype=float))
-        X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-        X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-        rec = cls(U0.shape[0], X0.shape[0], reinvert_every=reinvert_every)
-        for j in range(U0.shape[1]):
-            w = None if W0 is None else np.asarray(W0, dtype=float)[:, j]
-            rec.append(U0[:, j], X0[:, j], X1[:, j], w)
-        return rec
-
     def copy(self):
         """Deep snapshot of the record."""
-        other = DataRecord(self.m, self.n, reinvert_every=self._reinvert_every)
-        other.t = self.t
-        other._oracle_cols = self._oracle_cols
-        other._moments = self._moments.copy()
-        other._phi_inv = None if self._phi_inv is None else self._phi_inv.copy()
-        other._updates_since_inversion = self._updates_since_inversion
+        return self.take(np.s_[:])
+
+    def take(self, trials):
+        """The record of the selected trials of a stacked record: ``trials``
+        is a boolean mask or index array over the trial axis, or an integer
+        i for the single record of trial i."""
+        other = DataRecord.__new__(DataRecord)
+        other.__dict__.update(self.__dict__)
+        other._derived = {}
+        single = np.ndim(trials) == 0 and not isinstance(trials, slice)
+        flags = np.s_[trials : trials + 1] if single else trials
+        other._moments = self._moments[trials].copy()
+        other._phi_inv = self._phi_inv[trials].copy()
+        other._inverted = self._inverted[flags].copy()
+        other._inverted_at = self._inverted_at[flags].copy()
+        other._sync()
+        return other
+
+    @classmethod
+    def stack(cls, records):
+        """One stacked record of single records holding the same number of
+        samples."""
+        other = records[0].copy()
+        other._moments = np.stack([rec._moments for rec in records])
+        other._phi_inv = np.stack([rec._phi_inv for rec in records])
+        other._inverted = np.concatenate([rec._inverted for rec in records])
+        other._inverted_at = np.concatenate([rec._inverted_at for rec in records])
+        other._sync()
         return other
 
     # -- mutation -------------------------------------------------------------
 
     def append(self, u, x, x_next, w=None):
-        """Log one transition (u_t, x_t, x_{t+1}) and update all moments.
+        """Log one transition (u_t, x_t, x_{t+1}) and update all moments; on
+        a stacked record, each argument carries the trial axis.
 
         ``w`` is the true process noise, available in simulation only; pass
         it consistently (always or never) if SNR readings are wanted.  A
         transition that would make a moment non-finite raises
-        ``NonFiniteData`` and leaves the record as it was.
+        ``NonFiniteData`` and leaves the record as it was; on a stacked
+        record, the exception's ``trials`` marks the trials at fault.
         """
-        u = np.asarray(u, dtype=float).reshape(-1)
-        x = np.asarray(x, dtype=float).reshape(-1)
-        x_next = np.asarray(x_next, dtype=float).reshape(-1)
-        if u.shape != (self.m,) or x.shape != (self.n,) or x_next.shape != (self.n,):
+        lead = self._moments.shape[:-2]
+        u = np.asarray(u, dtype=float)
+        x = np.asarray(x, dtype=float)
+        x_next = np.asarray(x_next, dtype=float)
+        if not lead:
+            u, x, x_next = u.reshape(-1), x.reshape(-1), x_next.reshape(-1)
+        if (u.shape != lead + (self.m,) or x.shape != lead + (self.n,)
+                or x_next.shape != x.shape):
             raise DimensionMismatch(
-                f"expected u ({self.m},), x ({self.n},), x_next ({self.n},); "
-                f"got {u.shape}, {x.shape}, {x_next.shape}"
+                f"expected u {lead + (self.m,)}, x {lead + (self.n,)}, "
+                f"x_next {lead + (self.n,)}; got {u.shape}, {x.shape}, {x_next.shape}"
             )
-        phi = np.concatenate([u, x])
+        phi = np.concatenate([u, x], axis=-1)
         if w is None:
-            rows = np.concatenate([phi, x_next])
+            rows = np.concatenate([phi, x_next], axis=-1)
         else:
-            w = np.asarray(w, dtype=float).reshape(-1)
-            if w.shape != (self.n,):
-                raise DimensionMismatch(f"expected w ({self.n},), got {w.shape}")
-            rows = np.concatenate([phi, x_next, w])
+            w = np.asarray(w, dtype=float)
+            w = w if lead else w.reshape(-1)
+            if w.shape != x.shape:
+                raise DimensionMismatch(f"expected w {x.shape}, got {w.shape}")
+            rows = np.concatenate([phi, x_next, w], axis=-1)
         # (t M + r phi') / (t + 1) for every moment M with a new sample r;
         # Wbar without a noise sample is t Wbar / (t + 1)
         t = self.t
         moments = t * self._moments
-        moments[: len(rows)] += rows[:, None] * phi
+        moments[..., : rows.shape[-1], :] += rows[..., :, None] * phi[..., None, :]
         moments /= t + 1
         d = self.m + self.n
-        moments[:d] = symmetrize(moments[:d])
+        moments[..., :d, :] = symmetrize(moments[..., :d, :])
         if not np.isfinite(moments).all():
-            raise NonFiniteData(f"sample {t + 1} makes the data moments non-finite")
+            raise NonFiniteData(f"sample {t + 1} makes the data moments non-finite",
+                                trials=~np.isfinite(moments).all(axis=(-2, -1)))
         self._oracle_cols += w is not None
         self._moments = moments
         self.t = t + 1
@@ -125,27 +170,49 @@ class DataRecord:
         return self
 
     def _update_inverse(self, phi, t_before):
-        if self._phi_inv is None:
+        if not self._any_inverted:
             return
         # Phi_{t+1} = (t Phi_t + phi phi') / (t+1); Sherman-Morrison on the
-        # unnormalized Gram matrix, then rescale.
+        # unnormalized Gram matrix, then rescale.  A trial without an inverse
+        # keeps its NaN one.
         ainv = self._phi_inv / t_before
-        v = ainv @ phi
-        denom = 1.0 + float(phi @ v)
-        self._phi_inv = symmetrize((t_before + 1) * (ainv - v[:, None] * v / denom))
-        self._updates_since_inversion += 1
-        if self._updates_since_inversion >= self._reinvert_every:
-            self._invert_dense()
+        if phi.ndim == 1:
+            v = ainv @ phi
+            outer = v[:, None] * v / (1.0 + float(phi @ v))
+        else:
+            # each trial's products as its matrix times its column, bitwise
+            # the products of that trial alone
+            v = (ainv @ phi[:, :, None])[:, :, 0]
+            denom = 1.0 + (phi[:, None, :] @ v[:, :, None])[:, 0, 0]
+            outer = v[:, :, None] * v[:, None, :] / denom[:, None, None]
+        self._phi_inv = symmetrize((t_before + 1) * (ainv - outer))
+        if self.t >= self._next_dense:
+            self._invert_dense(self._inverted
+                               & (self.t - self._inverted_at >= self._reinvert_every))
 
-    def _invert_dense(self):
+    def _invert_dense(self, trials):
+        # Dense inverse of the selected trials' Phi (a mask over the trial
+        # axis), or NaN and not inverted where Phi is too close to singular.
         d = self.m + self.n
-        s = np.linalg.svd(self.phi, compute_uv=False)
-        if self.t < d or s[-1] <= 1e-12 * max(s[0], 1.0):
-            self._phi_inv = None
-            self._updates_since_inversion = 0
-            return
-        self._phi_inv = symmetrize(np.linalg.inv(self.phi))
-        self._updates_since_inversion = 0
+        sel = np.flatnonzero(trials)
+        phi = self.phi.reshape(-1, d, d)[sel]
+        s, ok = each_slice(lambda phi: np.linalg.svd(phi, compute_uv=False), phi)
+        good = np.zeros(len(sel), dtype=bool)
+        good[np.s_[:] if ok is None else ok] = (
+            (s[:, -1] > 1e-12 * np.maximum(s[:, 0], 1.0)) & (self.t >= d))
+        inv, ok = each_slice(np.linalg.inv, phi[good])
+        if ok is not None:
+            good[good] = ok
+        phi_inv = self._phi_inv.copy()
+        flat = phi_inv.reshape(-1, d, d)
+        flat[sel] = np.nan
+        flat[sel[good]] = symmetrize(inv)
+        self._phi_inv = phi_inv
+        self._inverted = self._inverted.copy()
+        self._inverted[sel] = good
+        self._inverted_at = self._inverted_at.copy()
+        self._inverted_at[sel] = self.t
+        self._sync()
 
     # -- views ----------------------------------------------------------------
 
@@ -163,46 +230,62 @@ class DataRecord:
     @property
     def phi(self):
         """Sample covariance of the stacked data, D0 D0' / t."""
-        return self._moments[: self.m + self.n]
+        return self._moments[..., : self.m + self.n, :]
 
     @property
     def ubar(self):
         """Input cross moment U0 D0' / t (top row block of phi)."""
-        return self._moments[: self.m]
+        return self._moments[..., : self.m, :]
 
     @property
     def xbar0(self):
         """State cross moment X0 D0' / t (bottom row block of phi)."""
-        return self._moments[self.m : self.m + self.n]
+        return self._moments[..., self.m : self.m + self.n, :]
 
     @property
     def xbar1(self):
         """Successor cross moment X1 D0' / t."""
         d = self.m + self.n
-        return self._moments[d : d + self.n]
+        return self._moments[..., d : d + self.n, :]
 
     @property
     def wbar(self):
         """Noise cross moment W0 D0' / t (oracle channel)."""
-        return self._moments[self.m + 2 * self.n :]
+        return self._moments[..., self.m + 2 * self.n :, :]
+
+    def inverse(self):
+        """(Phi^{-1}, inverted): the inverse, a stack over the trials of a
+        stacked record, and the mask of the trials that have one, None for
+        all.  A trial whose Phi is singular has a NaN inverse; a single
+        record raises ``NotPersistentlyExciting`` instead."""
+        if not self._all_inverted:
+            self._invert_dense(~self._inverted)
+        if self._all_inverted:
+            return self._phi_inv, None
+        if self._moments.ndim == 2:
+            raise NotPersistentlyExciting(
+                f"sample covariance is singular after t={self.t} samples "
+                f"(need at least {self.m + self.n})"
+            )
+        return self._phi_inv, self._inverted
 
     @property
     def phi_inv(self):
         """Inverse sample covariance, rank-one maintained.
 
-        Raises ``NotPersistentlyExciting`` while Phi is singular.
+        Raises ``NotPersistentlyExciting`` while Phi is singular (for some
+        trial of a stacked record).
         """
-        if self._phi_inv is None:
-            self._invert_dense()
-        if self._phi_inv is None:
+        phi_inv, inverted = self.inverse()
+        if inverted is not None:
             raise NotPersistentlyExciting(
-                f"sample covariance is singular after t={self.t} samples "
-                f"(need at least {self.m + self.n})"
+                f"sample covariance is singular for some trials after t={self.t} samples"
             )
-        return self._phi_inv
+        return phi_inv
 
     def __repr__(self):
-        return f"DataRecord(m={self.m}, n={self.n}, t={self.t})"
+        trials = "" if self._moments.ndim == 2 else f", trials={len(self._inverted)}"
+        return f"DataRecord(m={self.m}, n={self.n}, t={self.t}{trials})"
 
 
 @dataclass
@@ -215,12 +298,12 @@ class ModelEstimate:
     @property
     def theta(self):
         """Stacked regression form [Bhat, Ahat] matching phi = [u; x]."""
-        return np.hstack([self.Bhat, self.Ahat])
+        return np.concatenate([self.Bhat, self.Ahat], axis=-1)
 
     @classmethod
     def from_theta(cls, theta, m):
         theta = np.asarray(theta, dtype=float)
-        return cls(Ahat=theta[:, m:].copy(), Bhat=theta[:, :m].copy())
+        return cls(Ahat=theta[..., m:].copy(), Bhat=theta[..., :m].copy())
 
 
 @dataclass

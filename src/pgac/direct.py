@@ -115,12 +115,15 @@ def projected_step(record, V, Q, R, eta, lam=0.0):
 def scaling_matrix(record):
     """The data-dependent metric M = Ubar Pi Ubar' relating one projected
     direct step to a preconditioned indirect step; positive definite with
-    sigma_min(M) >= sigma_min(Phi)^2 under persistency of excitation.
+    sigma_min(M) >= sigma_min(Phi)^2 under persistency of excitation.  A
+    stacked record gives one M per trial.
 
     Built once per sample, so a stepsize rule and the step share one M."""
     return record.cached(
         "scaling_matrix",
-        lambda rec: symmetrize(rec.ubar @ nullspace_projector(rec.xbar0) @ rec.ubar.T),
+        lambda rec: symmetrize(
+            rec.ubar @ nullspace_projector(rec.xbar0) @ rec.ubar.swapaxes(-1, -2)
+        ),
     )
 
 

@@ -50,7 +50,14 @@ class NotPersistentlyExciting(PgacError):
 
 
 class NonFiniteData(PgacError):
-    """A sample would make the data moments non-finite (overflow)."""
+    """A sample would make the data moments non-finite (overflow).
+
+    ``trials`` marks the trials at fault when the record steps several.
+    """
+
+    def __init__(self, message, trials=None):
+        super().__init__(message)
+        self.trials = trials
 
 
 class OracleUnavailable(PgacError):

@@ -4,10 +4,12 @@ Monte Carlo aggregation, CSV emission, and the flat key-value config format.
 Reproducibility contract: every number a trial logs is a pure function of
 (seed, trial_index, config).  Each trial draws from three independent
 counter-based streams (offline inputs, process noise, probes) keyed by
-(seed, trial_index, stream), so trials can run in any order or in parallel
-without changing a byte of output.  Wall-clock timing is the one inherently
-irreproducible quantity: the ``step_time_s`` column holds the update's wall
-time only when ``record_timing`` is set, and is exactly 0.0 otherwise.
+(seed, trial_index, stream), so trials can run in any order, in parallel, or
+together in lockstep without changing a byte of output.  Wall-clock timing
+is the one inherently irreproducible quantity: the ``step_time_s`` column
+holds the update's wall time only when ``record_timing`` is set, and is
+exactly 0.0 otherwise.  When trials step together, a step's update time is
+shared evenly among the trials that took it.
 """
 
 import ast
@@ -23,6 +25,7 @@ import numpy as np
 from .controller import (
     ConstantStep,
     ControllerSpec,
+    ControllerState,
     InverseNormM,
     InverseSqrtLambda,
     ZeroLambda,
@@ -30,8 +33,8 @@ from .controller import (
     control_input,
     initialize,
 )
-# lqr_cost and snr_reading are the batch-of-one forms of the stacked monitor;
-# they stay bound here because perfbench's tracer wraps them by this name.
+# lqr_cost and snr_reading are bound here only so that perfbench's tracer can
+# wrap them by these names; no pgac code calls them here.
 from .dataflow import DataRecord, snr_reading, snr_readings  # noqa: F401
 from .errors import (
     ConfigError,
@@ -45,6 +48,10 @@ from .plant import LinearQuadraticPlant, lqr_cost, optimal_gain, step, true_cost
 OFFLINE_STREAM = 0
 NOISE_STREAM = 1
 PROBE_STREAM = 2
+
+# Online steps of probes and process noise drawn per call of a trial's
+# generators: a block draw is bitwise the same draws made one step at a time.
+DRAW_BLOCK = 256
 
 TRAJECTORY_COLUMNS = (
     "t",
@@ -205,115 +212,302 @@ def trial_rng(seed, trial_index, stream):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _monitor(plant, cstar, pending, rows, cost, gap):
-    """Complete the ``pending`` rows of :func:`run_trial` into ``rows``.
+def _kron_batch(n):
+    # Systems per stacked Lyapunov solve: their n^2 x n^2 Kronecker systems
+    # take at most 256 KiB, or one system where a single one is larger
+    # (n >= 14); it is one system at a time from n = 12.  It caps both the
+    # monitor's calls and the trials that step in lockstep.
+    return max(1, 2**18 // (8 * n**4))
 
-    Each pending entry holds the row's loop columns, the gain its update
-    moved to (None when the gain stayed as it was), and the record's ``phi``
-    and ``wbar`` after that step.  The moved gains are costed on the true
-    plant by one stacked call, the records' SNR by another; a row whose gain
-    did not move repeats (cost, gap), which enter as those of the gain in
-    effect before the first pending row.  Returns the (cost, gap) of the last.
-    """
-    gains = [gain for _, gain, _, _ in pending if gain is not None]
-    costs = iter(true_costs(plant, np.array(gains)).tolist() if gains else ())
-    readings = snr_readings(np.array([p[2] for p in pending]), np.array([p[3] for p in pending]))
-    for (loop, gain, _, _), gamma, delta, snr in zip(pending, *(r.tolist() for r in readings)):
-        if gain is not None:
-            cost = next(costs)
-            gap = (cost - cstar) / cstar
-        t, state_norm, lam, eta, skipped, dt = loop
-        rows.append((t, cost, gap, state_norm, gamma, delta, snr, lam, eta, skipped, dt))
-    pending.clear()
-    return cost, gap
+
+# Rows the monitor completes together at least: its SNR readings and
+# bookkeeping are one stacked call per flush whatever n is, while its
+# Lyapunov solves stay capped at _kron_batch gains per call.
+MONITOR_ROWS = 256
+
+
+def _true_costs(plant, gains):
+    # true_costs of a (k, m, n) stack, in calls of at most _kron_batch gains
+    batch = _kron_batch(plant.n)
+    return np.concatenate(
+        [true_costs(plant, gains[i : i + batch]) for i in range(0, len(gains), batch)])
+
+
+@dataclass
+class _Columns:
+    """The logged columns of a lockstep run: (trials, horizon) arrays per
+    trial and step, and one entry per step for the columns the trials
+    share."""
+
+    cost: np.ndarray  # of the gain an update moved to, where one did
+    state_norm: np.ndarray
+    avg_stage_cost: np.ndarray
+    eta: np.ndarray
+    skipped: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+    snr: np.ndarray
+    t: np.ndarray
+    lam: np.ndarray
+    step_time: np.ndarray
+    rows: np.ndarray  # per trial
+
+    @classmethod
+    def empty(cls, trials, horizon):
+        grid = (trials, horizon)
+        return cls(*(np.zeros(grid) for _ in range(4)), np.zeros(grid, dtype=bool),
+                   *(np.zeros(grid) for _ in range(3)), np.zeros(horizon, dtype=int),
+                   np.zeros(horizon), np.zeros(horizon), np.zeros(trials, dtype=int))
+
+    def monitor(self, plant, pending):
+        """Fill in the monitor's columns of the pending rows, and empty
+        ``pending``: the true cost of each gain an update moved to and the
+        SNR of each record.
+
+        ``pending`` holds one list per field of a step: the running trials,
+        the step, the skip flags, the gains after it, and the record's
+        ``phi`` and ``wbar``, each a stack over the trials or one trial's
+        own.  The SNR of every row is one stacked call; the moved gains are
+        costed on the true plant in stacked calls of at most _kron_batch
+        gains.  The record replaces ``phi`` and ``wbar`` on every append and
+        the state its gain on every step, so the arrays kept here stay as
+        they were at their step.
+        """
+        trials, steps, skipped, gains, phis, wbars = pending
+        join = np.array if phis[0].ndim == 2 else np.concatenate
+        steps = np.repeat(steps, [len(running) for running in trials])
+        trials, moved = np.concatenate(trials), ~join(skipped)
+        for column, values in zip((self.gamma, self.delta, self.snr),
+                                  snr_readings(join(phis), join(wbars))):
+            column[trials, steps] = values
+        if moved.any():
+            self.cost[trials[moved], steps[moved]] = _true_costs(plant, join(gains)[moved])
+        for field in pending:
+            field.clear()
+
+    def logs(self, method, trial_indices, outcomes, initial_cost, cstar):
+        """One TrajectoryLog per trial.  A row whose update did not move the
+        gain repeats the cost of the last gain that did, or the initial
+        gain's before the first."""
+        horizon = self.skipped.shape[1]
+        last = np.where(self.skipped, -1, np.arange(horizon))
+        np.maximum.accumulate(last, axis=1, out=last)
+        cost = np.where(last >= 0, np.take_along_axis(self.cost, np.maximum(last, 0), axis=1),
+                        initial_cost[:, None])
+        gap = (cost - cstar) / cstar
+        initial_gap = ((initial_cost - cstar) / cstar).tolist()
+        shared = [self.t.tolist(), self.lam.tolist(), self.step_time.tolist()]
+        logs = []
+        for p, (trial_index, (status, reason)) in enumerate(zip(trial_indices, outcomes)):
+            n = self.rows[p]
+            cols = [c[p, :n].tolist() for c in (cost, gap, self.state_norm, self.gamma,
+                                                  self.delta, self.snr)]
+            t, lam, dt = (c[:n] for c in shared)
+            eta = self.eta[p, :n].tolist()
+            skipped = self.skipped[p, :n].astype(int).tolist()
+            logs.append(TrajectoryLog(
+                method=method,
+                trial_index=trial_index,
+                status=status,
+                halt_reason=reason,
+                initial_gap=initial_gap[p],
+                final_gap=cols[1][-1] if n else initial_gap[p],
+                rows=list(zip(t, *cols, lam, eta, skipped, dt)),
+                avg_stage_cost=self.avg_stage_cost[p, :n].tolist(),
+            ))
+        return logs
+
+
+def _row_dots(v):
+    # v . v for a vector, or for each row of a stack as its own dot product
+    return float(v @ v) if v.ndim == 1 else (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run_trial(config, trial_index):
-    """Run one seeded closed-loop trial and return its TrajectoryLog.
+def run_trials(config, trial_indices):
+    """Run the given trials of a config in lockstep and return their
+    TrajectoryLogs, in the order given.
 
-    Protocol: t0 offline steps driven by white inputs (true noises logged
-    for the SNR oracle), certainty-equivalence initialization, then
-    ``horizon`` online steps of probe + feedback + policy update.  The trial
-    halts when initialization fails, when the state norm passes the
+    Protocol, per trial: t0 offline steps driven by white inputs (true noises
+    logged for the SNR oracle), certainty-equivalence initialization, then
+    ``horizon`` online steps of probe + feedback + policy update.  A trial
+    halts when initialization fails, when its state norm passes the
     divergence threshold before a step or after the last one, or when a
-    sample would make the record's moments non-finite: "initialization: ..."
+    sample would make its record's moments non-finite: "initialization: ..."
     offline, "diverged: ..." online.  Every non-finite value a trial meets
-    ends as such a halt or as a skipped update that names its reason, so
-    numpy's overflow and invalid-value warnings are silenced for the trial.
+    ends as such a halt or as a skipped update, so numpy's overflow and
+    invalid-value warnings are silenced for the run.
+
+    The trials step together on arrays with a leading trial axis: one draw
+    per block of DRAW_BLOCK steps from each generator, then one stacked
+    simulation step and one :func:`advance` per step for all running trials.
+    A lone trial, or the last one left running, steps as a single-trial
+    state on arrays without the trial axis, where numpy's calls cost less.
+    A halted trial leaves the stack; a skipped one keeps its gain.  Every kernel acts on each
+    trial alone, so each log is bitwise that of the trial run by itself.
+    The monitor (true cost of each new gain, SNR of each record) lags the
+    loop, which never reads it: rows wait until max(_kron_batch,
+    MONITOR_ROWS) of them have gathered, and are completed by stacked calls.
     """
     plant, cstar = config.reference()
-    offline_rng = trial_rng(config.seed, trial_index, OFFLINE_STREAM)
-    noise_rng = trial_rng(config.seed, trial_index, NOISE_STREAM)
-    probe_rng = trial_rng(config.seed, trial_index, PROBE_STREAM)
+    m, n, horizon = plant.m, plant.n, config.horizon
+    trial_indices = [int(i) for i in trial_indices]
+    k = len(trial_indices)
+    if not k:
+        return []
+    offline_rngs, noise_rngs, probe_rngs = (
+        [trial_rng(config.seed, i, stream) for i in trial_indices]
+        for stream in (OFFLINE_STREAM, NOISE_STREAM, PROBE_STREAM))
+    outcomes = [("completed", None)] * k
+    running = np.arange(k)  # positions of the trials still running
 
-    record = DataRecord(plant.m, plant.n)
-    x = np.zeros(plant.n)
-    z2_sum = 0.0
-    avg_curve = []
-    rows, status, reason, initial_gap = [], "completed", None, math.inf
-    try:
-        for _ in range(config.t0):
-            u = config.sigma_u_offline * offline_rng.standard_normal(plant.m)
-            w = config.sigma_w * noise_rng.standard_normal(plant.n)
-            x_next, _ = step(plant, x, u, w)
-            record.append(u, x, x_next, w)
-            x = x_next
-        state = initialize(
-            config.controller, plant.Q, plant.R, record, K_init=config.initial_gain
-        )
-    except (InitialGainUnstable, NotPersistentlyExciting, NonFiniteData) as exc:
-        status, reason = "halted", f"initialization: {exc}"
-    else:
-        # The monitor (true cost and gap of the gain, SNR of the record) lags
-        # the loop, which never reads it: the rows of up to ``batch`` steps
-        # wait in ``pending`` and are completed by stacked calls.  ``batch``
-        # caps the memory of a batch's Kronecker systems at 256 KiB, or one
-        # system where a single one is larger (n >= 14); it is one step at a
-        # time from n = 12.  The record replaces ``phi`` and ``wbar`` on
-        # every append, so the arrays kept here stay as they were at their step.
-        batch = max(1, 2**18 // (8 * plant.n**4))
-        cost = true_costs(plant, state.gain[None]).item()
-        initial_gap = gap = (cost - cstar) / cstar
-        pending = []
-        x_norm = float(np.linalg.norm(x))
+    def halt(trials, reason):
+        # halt the running trials that ``trials`` selects; the mask of the others
+        trials = np.reshape(trials, -1)
+        for p in running[trials]:
+            outcomes[p] = ("halted", reason)
+        return ~trials
+
+    # a lone trial steps on its own arrays, without the trial axis
+    lone = k == 1
+
+    def draw(rngs, rows, cols):
+        blocks = [rngs[p].standard_normal((rows, cols)) for p in running]
+        return blocks[0] if lone else np.stack(blocks)
+
+    U = config.sigma_u_offline * draw(offline_rngs, config.t0, m)
+    W = config.sigma_w * draw(noise_rngs, config.t0, n)
+    record = DataRecord(m, n, trials=None if lone else k)
+    x = np.zeros(n) if lone else np.zeros((k, n))
+    for j in range(config.t0):
+        if not len(running):
+            break
+        x_next, _ = step(plant, x, U[..., j, :], W[..., j, :])
         try:
-            while (len(rows) + len(pending) < config.horizon
-                   and x_norm <= config.divergence_threshold):
-                e = probe_rng.standard_normal(plant.m)
-                u = control_input(state, x, e)
-                w = config.sigma_w * noise_rng.standard_normal(plant.n)
-                x_next, z = step(plant, x, u, w)
-                tic = time.perf_counter()
-                advance(state, x, u, x_next, w)
-                dt = time.perf_counter() - tic if config.record_timing else 0.0
-                z2_sum += float(z @ z)
-                avg_curve.append(z2_sum / (len(avg_curve) + 1))
-                x_norm = float(np.linalg.norm(x_next))
-                loop = (state.record.t, x_norm, state.last_lambda, state.last_eta,
-                        int(state.last_skipped), dt)
-                # a skipped update leaves the gain as it was
-                moved = None if state.last_skipped else state.gain
-                pending.append((loop, moved, state.record.phi, state.record.wbar))
-                if len(pending) == batch:
-                    cost, gap = _monitor(plant, cstar, pending, rows, cost, gap)
-                x = x_next
+            record.append(U[..., j, :], x, x_next, W[..., j, :])
         except NonFiniteData as exc:
-            status, reason = "halted", f"diverged: {exc}"
-        if pending:
-            _monitor(plant, cstar, pending, rows, cost, gap)
-        if x_norm > config.divergence_threshold:
-            status, reason = "halted", "diverged"
-    return TrajectoryLog(
-        method=config.controller.method.value,
-        trial_index=trial_index,
-        status=status,
-        halt_reason=reason,
-        initial_gap=initial_gap,
-        final_gap=rows[-1][2] if rows else initial_gap,
-        rows=rows,
-        avg_stage_cost=avg_curve,
-    )
+            keep = halt(exc.trials, f"initialization: {exc}")
+            running = running[keep]
+            if lone or not len(running):
+                break
+            record, x, x_next, U, W = record.take(keep), x[keep], x_next[keep], U[keep], W[keep]
+            record.append(U[..., j, :], x, x_next, W[..., j, :])
+        x = x_next
+
+    states, ready = [], []
+    for j, p in enumerate(running):
+        try:
+            states.append(initialize(config.controller, plant.Q, plant.R,
+                                     record if lone else record.take(j),
+                                     K_init=config.initial_gain))
+            ready.append(j)
+        except (InitialGainUnstable, NotPersistentlyExciting) as exc:
+            outcomes[p] = ("halted", f"initialization: {exc}")
+    running = running[ready]
+    columns = _Columns.empty(k, horizon)
+    initial_cost = np.full(k, math.inf)
+    if not states:
+        return columns.logs(config.controller.method.value, trial_indices, outcomes,
+                            initial_cost, cstar)
+    if len(states) == 1:
+        state, x, lone = states[0], x.reshape(-1, n)[ready[0]], True
+    else:
+        state, x = ControllerState.stack(states), x[ready]
+    initial_cost[running] = _true_costs(plant, state.gain.reshape(-1, m, n))
+
+    # per-step columns of the running trials wait in ``segment`` until the
+    # set of running trials changes or the run ends
+    segment, segment_start = ([], [], [], []), 0
+
+    def close_segment(end):
+        nonlocal segment_start
+        if end > segment_start:
+            for column, values in zip((columns.state_norm, columns.avg_stage_cost,
+                                       columns.eta, columns.skipped), segment):
+                column[running, segment_start:end] = np.reshape(
+                    values, (end - segment_start, -1)).T
+                values.clear()
+            columns.rows[running] = end
+        segment_start = end
+
+    threshold = config.divergence_threshold
+    batch = max(_kron_batch(n), MONITOR_ROWS)
+    pending = ([], [], [], [], [], [])
+
+    def norm(v):
+        return math.sqrt(v @ v) if lone else np.sqrt(_row_dots(v))
+
+    def take(keep, *arrays):
+        # the rows of the trials that go on; a lone one's without the trial axis
+        nonlocal state, lone
+        if lone or keep.sum() > 1:
+            return (state.take(keep),) + tuple(a[keep] for a in arrays)
+        if pending[0]:
+            columns.monitor(plant, pending)
+        lone, (i,) = True, np.flatnonzero(keep)
+        return (state.take(i),) + tuple(float(a[i]) if a.ndim == 1 else a[i] for a in arrays)
+
+    x_norm = norm(x)
+    z2_sum = 0.0 if lone else np.zeros(len(running))
+    E = Wb = np.zeros((len(running), 0, 0))  # the first step draws the first blocks
+    steps = 0
+    for s in range(horizon):
+        b = s % DRAW_BLOCK
+        if x_norm > threshold if lone else x_norm.max() > threshold:
+            keep = halt(x_norm > threshold, "diverged")
+            close_segment(s)
+            running = running[keep]
+            if not len(running):
+                break
+            state, x, x_norm, z2_sum, E, Wb = take(keep, x, x_norm, z2_sum, E, Wb)
+        if b == 0:
+            size = min(DRAW_BLOCK, horizon - s)
+            E, Wb = draw(probe_rngs, size, m), config.sigma_w * draw(noise_rngs, size, n)
+        u = control_input(state, x, E[..., b, :])
+        w = Wb[..., b, :]
+        x_next, z = step(plant, x, u, w)
+        while True:
+            tic = time.perf_counter()
+            try:
+                advance(state, x, u, x_next, w)
+                break
+            except NonFiniteData as exc:
+                keep = halt(exc.trials, f"diverged: {exc}")
+                close_segment(s)
+                running = running[keep]
+                if not len(running):
+                    break
+                state, x, u, w, x_next, z, z2_sum, E, Wb = take(
+                    keep, x, u, w, x_next, z, z2_sum, E, Wb)
+        if not len(running):
+            break
+        dt = (time.perf_counter() - tic) / len(running) if config.record_timing else 0.0
+        z2_sum = z2_sum + _row_dots(z)
+        x_norm = norm(x_next)
+        for values, value in zip(segment, (x_norm, z2_sum / (s + 1), state.last_eta,
+                                           state.last_skipped)):
+            values.append(value)
+        columns.t[s], columns.lam[s], columns.step_time[s] = state.record.t, state.last_lambda, dt
+        for field, value in zip(pending, (running, s, state.last_skipped, state.gain,
+                                          state.record.phi, state.record.wbar)):
+            field.append(value)
+        if len(pending[0]) * len(running) >= batch:
+            columns.monitor(plant, pending)
+        x = x_next
+        steps = s + 1
+    close_segment(steps)
+    if pending[0]:
+        columns.monitor(plant, pending)
+    if len(running):
+        halt(x_norm > threshold, "diverged")
+    return columns.logs(config.controller.method.value, trial_indices, outcomes,
+                        initial_cost, cstar)
+
+
+def run_trial(config, trial_index):
+    """Run one seeded closed-loop trial and return its TrajectoryLog: the
+    batch of one of :func:`run_trials`, whose protocol it follows."""
+    return run_trials(config, [trial_index])[0]
 
 
 def _usable_cpus():
@@ -324,26 +518,38 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+def check_run(config, jobs):
+    """Raise ``ConfigError`` for a config or a job count that cannot run,
+    before any trial does; returns ``config.reference()``."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    return config.reference()
+
+
 def run_monte_carlo(config, jobs=1):
     """Run all trials of a config and aggregate.
 
-    ``jobs`` > 1 distributes trials over at most ``jobs`` processes, and
-    never more processes than trials or than CPUs this process may run on;
-    results are collected in trial order, so parallel runs emit
-    byte-identical output.  The optimum is solved once, before the pool
-    starts, and sent to the workers with the config.  ``jobs`` < 1 raises
-    ``ConfigError``.
+    One process steps the trials in lockstep (:func:`run_trials`), in groups
+    of at most _kron_batch(n) trials: all of them on small plants, one at a
+    time from n = 12, where a stacked Kronecker solve costs more than it
+    saves.  ``jobs`` > 1 instead distributes trials, one per task, over at
+    most ``jobs`` processes, and never more processes than trials or than
+    CPUs this process may run on.  Either way, results are collected in
+    trial order and every log is bitwise that of its trial run alone, so
+    output is byte-identical for any ``jobs``.  The optimum is solved once,
+    before the pool starts, and sent to the workers with the config.
+    ``jobs`` < 1 raises ``ConfigError``.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    plant, _ = check_run(config, jobs)
     n = config.trials
     workers = min(jobs, n, _usable_cpus())
     if workers > 1:
-        config.reference()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(pool.map(run_trial, itertools.repeat(config, n), range(n)))
     else:
-        logs = [run_trial(config, i) for i in range(n)]
+        group = _kron_batch(plant.n)
+        logs = [log for first in range(0, n, group)
+                for log in run_trials(config, range(first, min(first + group, n)))]
     converged = [lg for lg in logs if lg.status != "halted"]
     rate = len(converged) / len(logs)
     median_gap = (

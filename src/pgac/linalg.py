@@ -29,6 +29,16 @@ _SYM_TOL = 1e-8
 
 _lyap_solves = 0
 
+_identities = {}
+
+
+def _identity(n):
+    # np.eye(n), built once per n and read-only
+    if n not in _identities:
+        _identities[n] = np.eye(n)
+        _identities[n].setflags(write=False)
+    return _identities[n]
+
 
 def lyapunov_solve_count():
     """Total number of discrete Lyapunov solves performed in this process.
@@ -84,6 +94,61 @@ def is_stabilizing(F, margin=STABILITY_MARGIN):
     return stable
 
 
+def each_slice(fn, *stacks):
+    """``fn(*stacks)`` for (k, ...) stacks that share their leading axis, and
+    the mask of the slices it ran on, None for all of them.
+
+    numpy's stacked solvers raise ``LinAlgError`` for a whole stack when one
+    slice fails.  Then each slice is tried alone, and ``fn`` runs once more on
+    the stack of those that pass; every slice of a stacked kernel is bitwise
+    its own answer, so the results do not depend on the other slices.  For
+    a single matrix (a 2-D first argument) the error propagates.
+    """
+    try:
+        return fn(*stacks), None
+    except np.linalg.LinAlgError:
+        if stacks[0].ndim < 3:
+            raise
+        ok = np.ones(len(stacks[0]), dtype=bool)
+        for i in range(len(ok)):
+            try:
+                fn(*(s[i : i + 1] for s in stacks))
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return fn(*(s[ok] for s in stacks)), ok
+
+
+def select_slices(keep, *arrays):
+    """The slices in ``keep`` (a mask, or None for all) of each (k, ...)
+    stack among ``arrays``; an array of fewer than three dimensions is shared
+    by every slice and passes as it is."""
+    if keep is None:
+        return arrays
+    return tuple(a[keep] if np.ndim(a) >= 3 else a for a in arrays)
+
+
+def nested_mask(keep, inner):
+    """``inner``, a mask over the slices in ``keep``, as a mask over all of
+    them (None stands for all)."""
+    if inner is None or keep is None:
+        return keep if inner is None else inner
+    keep = keep.copy()
+    keep[keep] = inner
+    return keep
+
+
+def stabilizing_slices(F):
+    """(stable, checked) for a (k, n, n) stack: the mask of the matrices that
+    :func:`is_stabilizing` certifies, and that of those it can check at all
+    (it raises ``LinAlgError`` for a non-finite one); None stands for all."""
+    verdict, checked = each_slice(is_stabilizing, F)
+    if checked is None:
+        return (None if verdict.all() else verdict), None
+    stable = np.zeros(len(F), dtype=bool)
+    stable[checked] = verdict
+    return stable, checked
+
+
 def symmetrize(X):
     """Orthogonal projection onto the symmetric matrices, (X + X') / 2, of a
     matrix or of each matrix in a (..., n, n) stack."""
@@ -119,7 +184,7 @@ def _solve_dlyap_stable(F, W):
         # is given the stack's shape first (same values, same answer)
         W = np.broadcast_to(W, F.shape)
     n = F.shape[-1]
-    lhs = np.eye(n * n) - _kron_square(F)
+    lhs = _identity(n * n) - _kron_square(F)
     vec_w = W.swapaxes(-1, -2).reshape(*W.shape[:-2], n * n, 1)
     x = np.linalg.solve(lhs, vec_w)
     _lyap_solves += 1
@@ -166,20 +231,33 @@ def solve_dlyap_closed(F, W):
 
 
 def nullspace_projector(A):
-    """Orthogonal projector onto the null space of ``A``.
+    """Orthogonal projector onto the null space of ``A``, or of each matrix
+    in a (j, r, k) stack.
 
     Returns the symmetric idempotent Pi = I - pinv(A) A, computed from the
     SVD of ``A`` so that A @ Pi = 0 holds to machine precision.  Singular
-    values below _RANK_RCOND times the largest count as zero.
+    values below _RANK_RCOND times the largest count as zero.  The matrices
+    of a stack are grouped by rank, so each projector is bitwise that of its
+    matrix alone.
     """
     A = np.asarray(A, dtype=float)
-    k = A.shape[1]
+    k = A.shape[-1]
+    eye = _identity(k)
+    if A.shape[-2] == 0:
+        return np.broadcast_to(eye, A.shape[:-2] + (k, k)).copy()
     _, s, vt = np.linalg.svd(A)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(k)
-    rank = int(np.sum(s > _RANK_RCOND * s[0]))
-    vr = vt[:rank].T
-    return symmetrize(np.eye(k) - vr @ vr.T)
+    if A.ndim == 2:
+        vr = vt[: int(np.sum(s > _RANK_RCOND * s[0]))].T
+        return symmetrize(eye - vr @ vr.T)
+    rank = np.sum(s > _RANK_RCOND * s[:, :1], axis=-1)
+    if (rank == rank[0]).all():
+        vr = vt[:, : rank[0]].swapaxes(-1, -2)
+        return symmetrize(eye - vr @ vr.swapaxes(-1, -2))
+    out = np.empty(vt.shape)
+    for r in np.unique(rank):
+        vr = vt[rank == r][:, :r].swapaxes(-1, -2)
+        out[rank == r] = symmetrize(eye - vr @ vr.swapaxes(-1, -2))
+    return out
 
 
 def sqrt_spd(S):
@@ -235,8 +313,10 @@ def initial_stabilizing_gain(A, B, Q, R):
 
 
 def _improved_gain(A, B, R, P):
-    # Policy improvement: the gain minimizing the one-step lookahead under P.
-    return -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    # Policy improvement: the gain minimizing the one-step lookahead under P,
+    # for one model or for each of a stack.
+    BT = B.swapaxes(-1, -2)
+    return -np.linalg.solve(R + BT @ P @ B, BT @ P @ A)
 
 
 def _stable_closed_loop(A, B, K):
@@ -251,8 +331,10 @@ def _stable_closed_loop(A, B, K):
 
 def _policy_value(Q, R, K, F):
     # Policy evaluation P = Q + K'RK + F'PF for a closed loop F already
-    # checked stable; the symmetrized weight needs no symmetry check.
-    return _solve_dlyap_stable(F.T, symmetrize(Q + K.T @ R @ K))
+    # checked stable, of one gain or of each in a stack; the symmetrized
+    # weight needs no symmetry check.
+    KT = K.swapaxes(-1, -2)
+    return _solve_dlyap_stable(F.swapaxes(-1, -2), symmetrize(Q + KT @ R @ K))
 
 
 def hewer_iterates(A, B, Q, R, K0):
@@ -363,3 +445,56 @@ def solve_riccati_hewer(A, B, Q, R, K0=None, tol=1e-10, max_iter=500):
             return RiccatiSolution(K_next, i, A, B, Q, R, F)
         K = K_next
     raise NoConvergence(f"no convergence after {max_iter} policy improvements")
+
+
+# Outcomes of policy_iterations, per trial.
+CONVERGED, NOT_STABILIZING, NO_CONVERGENCE, SOLVE_FAILED = range(4)
+
+
+def policy_iterations(A, B, Q, R, K, tol=1e-10, max_iter=500):
+    """:func:`solve_riccati_hewer`'s loop from the gains K on (k, ...) stacks
+    of models and gains, all trials in lockstep until each converges or
+    fails: (gains, status), the converged gains (NaN where a trial did not
+    converge) and each trial's outcome.
+
+    A round makes one stacked Lyapunov solve and one stacked stability check
+    over the trials still running, so each trial's iterates are bitwise those
+    of its own run.
+    """
+    gains = np.full(K.shape, np.nan)
+    status = np.full(len(K), NO_CONVERGENCE)
+    left = np.arange(len(K))  # the trials still running
+
+    def check(F):
+        # Stop the running trials whose closed loop F fails its check; the
+        # mask of the others, None for all.
+        stable, valid = stabilizing_slices(F)
+        if stable is not None:
+            status[left[~stable]] = (NOT_STABILIZING if valid is None else
+                                     np.where(valid[~stable], NOT_STABILIZING, SOLVE_FAILED))
+        return stable
+
+    F = A + B @ K
+    keep = check(F)
+    for _ in range(max_iter):
+        if keep is not None:
+            left, A, B, K, F = left[keep], A[keep], B[keep], K[keep], F[keep]
+        if not len(left):
+            break
+        K_next, solved = each_slice(
+            lambda A, B, K, F: _improved_gain(A, B, R, _policy_value(Q, R, K, F)), A, B, K, F)
+        if solved is not None:
+            status[left[~solved]] = SOLVE_FAILED
+            left, A, B, K = left[solved], A[solved], B[solved], K[solved]
+        F = A + B @ K_next
+        # the Frobenius norm of each change, as np.linalg.norm takes it
+        change = (K_next - K).reshape(len(K), 1, -1)
+        done = np.sqrt(change @ change.swapaxes(-1, -2))[:, 0, 0] < tol
+        keep = check(F)
+        if keep is not None:
+            done &= keep
+        if done.any():
+            gains[left[done]], status[left[done]] = K_next[done], CONVERGED
+            keep = ~done if keep is None else keep & ~done
+        K = K_next
+    return gains, status

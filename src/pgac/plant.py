@@ -104,15 +104,24 @@ class LinearQuadraticPlant:
 
 def step(plant, x, u, w):
     """One simulation step; returns (x_next, z) with z the weighted stage
-    output [sqrt(Q) x; sqrt(R) u], so that ||z||^2 is the stage cost."""
+    output [sqrt(Q) x; sqrt(R) u], so that ||z||^2 is the stage cost.  The
+    arguments may carry a leading trial axis, for trials stepped together."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    if x.shape != (plant.n,) or u.shape != (plant.m,) or w.shape != (plant.n,):
+    lead = x.shape[:-1]
+    if x.shape != lead + (plant.n,) or u.shape != lead + (plant.m,) or w.shape != x.shape:
         raise DimensionMismatch(
             f"expected shapes x ({plant.n},), u ({plant.m},), w ({plant.n},); "
             f"got {x.shape}, {u.shape}, {w.shape}"
         )
+    if lead:
+        # each trial's products as the matrix times its column, bitwise the
+        # matrix-vector products of that trial alone
+        x_next = (plant.A @ x[..., None])[..., 0] + (plant.B @ u[..., None])[..., 0] + w
+        z = np.concatenate([(plant.sqrt_Q @ x[..., None])[..., 0],
+                            (plant.sqrt_R @ u[..., None])[..., 0]], axis=-1)
+        return x_next, z
     x_next = plant.A @ x + plant.B @ u + w
     z = np.concatenate([plant.sqrt_Q @ x, plant.sqrt_R @ u])
     return x_next, z

@@ -200,6 +200,18 @@ def gain_for_estimate(estimate, Q, R, rng, spread=0.3, radius=0.95):
     return sol.gain
 
 
+def record_from_arrays(U0, X0, X1, W0=None, reinvert_every=1000):
+    """Build a DataRecord by replaying column arrays through append."""
+    U0 = np.atleast_2d(np.asarray(U0, dtype=float))
+    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
+    X1 = np.atleast_2d(np.asarray(X1, dtype=float))
+    rec = DataRecord(U0.shape[0], X0.shape[0], reinvert_every=reinvert_every)
+    for j in range(U0.shape[1]):
+        w = None if W0 is None else np.asarray(W0, dtype=float)[:, j]
+        rec.append(U0[:, j], X0[:, j], X1[:, j], w)
+    return rec
+
+
 def simulate_columns(plant, rng, t, sigma_u=1.0, sigma_w=1.0):
     """Open-loop rollout from the origin as column arrays (U0, X0, X1, W0)."""
     U0 = np.zeros((plant.m, t))
@@ -219,7 +231,7 @@ def simulate_columns(plant, rng, t, sigma_u=1.0, sigma_w=1.0):
 def simulate_record(plant, rng, t, sigma_u=1.0, sigma_w=1.0, with_noise_log=True):
     """Open-loop rollout from the origin, logged into a fresh DataRecord."""
     U0, X0, X1, W0 = simulate_columns(plant, rng, t, sigma_u, sigma_w)
-    return DataRecord.from_arrays(U0, X0, X1, W0 if with_noise_log else None)
+    return record_from_arrays(U0, X0, X1, W0 if with_noise_log else None)
 
 
 def identity_record(m, n):
@@ -229,7 +241,7 @@ def identity_record(m, n):
     U0 = D[:m]
     X0 = D[m:]
     X1 = np.zeros((n, d))
-    return DataRecord.from_arrays(U0, X0, X1, W0=np.zeros((n, d)))
+    return record_from_arrays(U0, X0, X1, W0=np.zeros((n, d)))
 
 
 def per_step_monitor_trial(config, trial_index):

@@ -7,7 +7,7 @@ import pytest
 import pgac.controller
 import pgac.direct
 import pgac.linalg
-from oracles import identity_record, simulate_record
+from oracles import identity_record, record_from_arrays, simulate_record
 from pgac import (
     ConstantStep,
     ControllerSpec,
@@ -159,7 +159,7 @@ def test_initialize_unstabilizable_estimate():
     U0 = np.array([[1.0, -1.0]])
     X0 = np.array([[1.0, 1.0]])
     X1 = np.array([[2.0, 2.0]])
-    rec = DataRecord.from_arrays(U0, X0, X1)
+    rec = record_from_arrays(U0, X0, X1)
     spec = ControllerSpec("indirect_vanilla", ConstantStep(0.02))
     with pytest.raises(InitialGainUnstable):
         initialize(spec, np.eye(1), np.eye(1), rec)
@@ -333,7 +333,7 @@ def test_one_shot_failing_iterate_retries_then_skips(monkeypatch):
     a = 1.0 - 5e-10
     U0 = np.array([[1.0, 0.0, 1.0, -1.0]])
     X0 = np.array([[0.0, 1.0, 1.0, 2.0]])
-    rec = DataRecord.from_arrays(U0, X0, a * X0 + U0)
+    rec = record_from_arrays(U0, X0, a * X0 + U0)
     state = initialize(ControllerSpec("one_shot_ce"), [[1e-20]], [[1.0]], rec,
                        K_init=[[-0.5]])
     calls = _record_riccati_solves(monkeypatch)
@@ -351,7 +351,7 @@ def test_one_shot_failing_iterate_retries_then_skips(monkeypatch):
     B = np.array([[-2.9671837099839435], [-0.7600587900644338]])
     rng = np.random.default_rng(3)
     U0, X0 = rng.standard_normal((1, 6)), rng.standard_normal((2, 6))
-    rec = DataRecord.from_arrays(U0, X0, A @ X0 + B @ U0)
+    rec = record_from_arrays(U0, X0, A @ X0 + B @ U0)
     with pytest.raises(InitialGainUnstable):
         initialize(ControllerSpec("one_shot_ce"), 1e-20 * np.eye(2), np.eye(1), rec)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    record_from_arrays,
     OuterFormRecord,
     identity_record,
     outer_form_rls_update,
@@ -47,7 +48,7 @@ def test_from_arrays_matches_appends():
     rec = DataRecord(3, 3)
     for j in range(30):
         rec.append(U0[:, j], X0[:, j], X1[:, j], W0[:, j])
-    twin = DataRecord.from_arrays(U0, X0, X1, W0)
+    twin = record_from_arrays(U0, X0, X1, W0)
     assert twin.t == rec.t
     assert np.allclose(twin.phi, rec.phi, atol=1e-12)
     assert np.allclose(twin.phi_inv, rec.phi_inv, atol=1e-10)
@@ -58,7 +59,7 @@ def test_from_arrays_matches_appends():
 def test_aggregate_property_definitions():
     plant = benchmark_plant()
     U0, X0, X1, W0 = simulate_columns(plant, np.random.default_rng(4), 40)
-    rec = DataRecord.from_arrays(U0, X0, X1, W0)
+    rec = record_from_arrays(U0, X0, X1, W0)
     t = rec.t
     D0 = np.vstack([U0, X0])
     assert np.allclose(rec.phi, D0 @ D0.T / t, atol=1e-12)
@@ -94,7 +95,7 @@ def test_rls_matches_batch_recomputation():
     plant = benchmark_plant()
     rng = np.random.default_rng(3)
     U0, X0, X1, W0 = simulate_columns(plant, rng, 20)
-    rec = DataRecord.from_arrays(U0, X0, X1, W0)
+    rec = record_from_arrays(U0, X0, X1, W0)
     est = batch_least_squares(rec)
     x = X1[:, -1]
     for _ in range(30):
@@ -301,3 +302,38 @@ def test_refused_append_leaves_the_record_as_it_was():
     with pytest.raises(NonFiniteData):
         rec.append([1e200], [1.0], [1.0], [1.0])
     assert rec.t == 1 and not rec.has_oracle
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_stacked_record_equals_single_records():
+    # five trials stepped together across dense re-inversions, then split,
+    # rejoined and refused a sample that overflows two of them
+    m, n, k = 2, 3, 5
+    rng = np.random.default_rng(43)
+    single = [DataRecord(m, n, reinvert_every=7) for _ in range(k)]
+    stacked = DataRecord(m, n, reinvert_every=7, trials=k)
+    for step in range(30):
+        u, x, x_next, w = (rng.standard_normal((k, size)) for size in (m, n, n, n))
+        stacked.append(u, x, x_next, w)
+        for i, rec in enumerate(single):
+            rec.append(u[i], x[i], x_next[i], w[i])
+        if step >= 2 * (m + n):
+            inverse, inverted = stacked.inverse()
+            assert inverted is None
+            for i, rec in enumerate(single):
+                assert np.array_equal(inverse[i], rec.phi_inv)
+        for name in ("phi", "xbar1", "wbar"):
+            assert all(np.array_equal(getattr(stacked, name)[i], getattr(rec, name))
+                       for i, rec in enumerate(single))
+    assert np.array_equal(stacked._updates_since_inversion,
+                          [rec._updates_since_inversion[0] for rec in single])
+    rejoined = DataRecord.stack([stacked.take(i) for i in (4, 0, 2)])
+    assert np.array_equal(rejoined.phi_inv, stacked.take(np.array([4, 0, 2])).phi_inv)
+    assert np.array_equal(rejoined.wbar, stacked.wbar[[4, 0, 2]])
+    before = stacked._moments.copy()
+    u = np.ones((k, m))
+    u[[1, 3]] = 1e200
+    with pytest.raises(NonFiniteData) as refused:
+        stacked.append(u, np.ones((k, n)), np.ones((k, n)), np.ones((k, n)))
+    assert refused.value.trials.tolist() == [False, True, False, True, False]
+    assert np.array_equal(stacked._moments, before) and stacked.t == 30

@@ -38,6 +38,7 @@ from pgac.harness import (
     TRAJECTORY_COLUMNS,
     config_from_mapping,
     parse_config_text,
+    run_trials,
     summary_csv_text,
     trajectory_csv_text,
     trial_rng,
@@ -63,6 +64,34 @@ def test_trial_rng_streams_are_reproducible_and_distinct():
     assert not np.array_equal(a, d)
     assert not np.array_equal(a, e)
     assert OFFLINE_STREAM != NOISE_STREAM != PROBE_STREAM
+
+
+def test_block_draws_equal_sequential_draws():
+    # one call per block of steps draws bitwise what one call per step does,
+    # on each stream and across block boundaries (the noise stream serves
+    # the offline steps first, then the online ones)
+    for stream, width in ((OFFLINE_STREAM, 2), (NOISE_STREAM, 3), (PROBE_STREAM, 4)):
+        for trial in range(4):
+            one_by_one = trial_rng(11, trial, stream)
+            sequential = np.array([one_by_one.standard_normal(width) for _ in range(600)])
+            blocks = trial_rng(11, trial, stream)
+            drawn = np.concatenate([blocks.standard_normal((size, width))
+                                    for size in (20, 256, 256, 1, 7, 60)])
+            assert np.array_equal(drawn, sequential)
+
+
+def test_trials_are_the_same_whatever_the_draw_block(monkeypatch):
+    # 600 online steps cross the default block boundaries at steps 256 and
+    # 512; a block of one step draws as the per-step loop did
+    spec = ControllerSpec("indirect_natural", ConstantStep(0.2))
+    cfg = ExperimentConfig(controller=spec, horizon=600, seed=4, trials=3)
+    texts = {}
+    for block in (pgac.harness.DRAW_BLOCK, 1, 7):
+        monkeypatch.setattr(pgac.harness, "DRAW_BLOCK", block)
+        texts[block] = [trajectory_csv_text(log) for log in run_trials(cfg, range(3))]
+        texts[block].append(trajectory_csv_text(run_trial(cfg, 1)))
+    assert texts[1] == texts[7] == texts[pgac.harness.DRAW_BLOCK]
+    assert max(len(log.rows) for log in run_trials(cfg, range(3))) == 600
 
 
 def test_experiment_config_validation():
@@ -580,6 +609,82 @@ def test_stacked_monitor_equals_per_step_monitor():
     assert max(len(log.rows) for log in logs) > 2 * 404
 
 
+# Every method and both regularized arms.  With the trials of seed 1 and a
+# divergence threshold of 20, some trials start from a gain that does not
+# stabilize the plant, some skip updates and many halt by divergence.
+LOCKSTEP_SPECS = [
+    ControllerSpec("indirect_vanilla", ConstantStep(0.2)),
+    ControllerSpec("indirect_vanilla", ConstantStep(0.2), InverseSqrtLambda(0.1)),
+    ControllerSpec("indirect_natural", ConstantStep(0.2)),
+    ControllerSpec("indirect_gauss_newton", ConstantStep(0.5)),
+    ControllerSpec("adaptive_hewer"),
+    ControllerSpec("direct_vanilla", InverseNormM(0.2)),
+    ControllerSpec("direct_vanilla", InverseNormM(0.2), InverseSqrtLambda(0.1)),
+    ControllerSpec("direct_natural", ConstantStep(0.2)),
+    ControllerSpec("one_shot_ce"),
+]
+
+
+def _lockstep_cases():
+    # 100 trials for three arms, 30 for the others
+    cases = [ExperimentConfig(controller=spec, seed=1, trials=100 if i % 3 == 0 else 30,
+                              horizon=30, divergence_threshold=20.0)
+             for i, spec in enumerate(LOCKSTEP_SPECS)]
+    vanilla = LOCKSTEP_SPECS[0]
+    # samples that overflow the moments: online after ~850 steps of an
+    # unstable plant, offline at different samples for 81 of 100 trials
+    unstable = (np.diag([1.5, 1.2]), np.array([[1.0], [0.5]]), np.eye(2), np.eye(1))
+    cases.append(ExperimentConfig(controller=vanilla, plant=unstable, initial_gain=np.zeros((1, 2)),
+                                  horizon=900, divergence_threshold=math.inf, seed=1, trials=7))
+    cases.append(ExperimentConfig(controller=vanilla, sigma_u_offline=1e153, horizon=20,
+                                  divergence_threshold=math.inf, seed=1, trials=100))
+    # one offline sample identifies nothing: every initialization fails
+    cases.append(small_config(t0=1, trials=7))
+    # the first of two trials halts after 35 steps; the other goes on alone
+    cases.append(ExperimentConfig(controller=ControllerSpec("indirect_vanilla", ConstantStep(0.02)),
+                                  seed=500, trials=2, horizon=300))
+    # the 12-state plant, monitored one gain at a time
+    for spec, horizon in ((vanilla, 10), (LOCKSTEP_SPECS[8], 4)):
+        cases.append(ExperimentConfig(controller=spec, plant=_wide_plant(), t0=60,
+                                      horizon=horizon, seed=2, trials=3))
+    return cases
+
+
+def _log_record(log):
+    return (trajectory_csv_text(log), log.status, log.halt_reason, log.initial_gap,
+            log.final_gap, log.avg_stage_cost)
+
+
+def test_lockstep_trials_equal_trials_run_alone(monkeypatch):
+    logs = []
+    for case, cfg in enumerate(_lockstep_cases()):
+        # run_trial is the batch of one
+        alone = [run_trial(cfg, i) for i in range(cfg.trials)]
+        expected = [_log_record(log) for log in alone]
+        for size in (7, 100):
+            together = [log for first in range(0, cfg.trials, size)
+                        for log in run_trials(cfg, range(first, min(first + size, cfg.trials)))]
+            assert [_log_record(log) for log in together] == expected, (cfg.controller, size)
+        if case == 0:
+            assert [_log_record(log) for log in run_monte_carlo(cfg).logs] == expected
+            # trials that leave the stack in the middle of a draw block
+            monkeypatch.setattr(pgac.harness, "DRAW_BLOCK", 7)
+            assert [_log_record(log) for log in run_trials(cfg, range(100))] == expected
+            monkeypatch.undo()
+        logs.extend(alone)
+    reasons = {(log.halt_reason or "").split(" ", 2)[:2][0] for log in logs}
+    assert {"diverged", "diverged:", "initialization:"} <= reasons
+    halts = [log.halt_reason for log in logs if log.halt_reason]
+    assert any(reason.startswith("diverged: sample") for reason in halts)
+    assert any(reason.startswith("initialization: sample") for reason in halts)
+    assert any(reason.startswith("initialization: sample covariance") for reason in halts)
+    assert len({log.method for log in logs}) == 7
+    assert any(math.isinf(log.initial_gap) for log in logs if log.rows)
+    assert any(0 < sum(row[9] for row in log.rows) < len(log.rows) for log in logs)
+    assert any(log.status == "completed" for log in logs)
+    assert [len(log.rows) for log in logs[-8:-6]] == [35, 300]
+
+
 def test_reference_optimum_is_solved_once_per_config(monkeypatch):
     riccati, calls = [], []
     solve = pgac.plant.solve_riccati_hewer
@@ -647,6 +752,17 @@ def test_cli_unwritable_output_exits_3(tmp_path):
     blocker.write_text("a file, not a directory")
     out = blocker / "sub"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+
+
+def test_cli_out_naming_a_file_exits_3_before_any_trial(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    runs = []
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda *a, **kw: runs.append(1))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(taken)]) == 3
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert runs == [] and taken.read_text() == "a file, not a directory"
 
 
 def test_cli_compare_runs_multiple_configs(tmp_path, capsys):

@@ -475,3 +475,52 @@ def test_hewer_iterates_from_rough_start():
     costs = [lqr_cost(plant, K).cost for K, _ in pairs]
     assert all(c_next <= c_prev + 1e-12 for c_prev, c_next in zip(costs, costs[1:]))
     assert np.allclose(pairs[-1][0], K_star, atol=1e-9)
+
+
+def test_stacked_kernels_equal_their_slices():
+    rng = np.random.default_rng(23)
+    # null-space projectors of a stack whose matrices differ in rank
+    A = rng.standard_normal((9, 3, 6))
+    A[2, 2] = A[2, 0]  # rank 2
+    A[5, 1:] = 0.0  # rank 1
+    A[7] = 0.0  # rank 0: the projector is the identity
+    for k in (1, 7, 9):
+        P = nullspace_projector(A[:k])
+        assert all(np.array_equal(P[i], nullspace_projector(A[i])) for i in range(k))
+    assert np.array_equal(nullspace_projector(A[7]), np.eye(6))
+    # a singular slice fails alone; the others keep their own answers
+    S = rng.standard_normal((6, 4, 4))
+    S[3, :, 0] = 0.0
+    inv, ok = pgac.linalg.each_slice(np.linalg.inv, S)
+    assert ok.tolist() == [True, True, True, False, True, True]
+    assert all(np.array_equal(X, np.linalg.inv(S[i])) for X, i in zip(inv, np.flatnonzero(ok)))
+    assert pgac.linalg.each_slice(np.linalg.inv, np.delete(S, 3, axis=0))[1] is None
+    with pytest.raises(np.linalg.LinAlgError):
+        pgac.linalg.each_slice(np.linalg.inv, S[3])
+
+
+def test_policy_iterations_equal_riccati_solves_of_each_trial():
+    # warm starts from scaled optimal gains of perturbed benchmark models:
+    # near ones converge, far ones fail to stabilize, one is not finite
+    plant = benchmark_plant()
+    rng = np.random.default_rng(5)
+    A = plant.A + 0.05 * rng.standard_normal((12, 3, 3))
+    B = plant.B + 0.05 * rng.standard_normal((12, 3, 3))
+    K = np.stack([solve_riccati_hewer(a, b, plant.Q, plant.R).gain for a, b in zip(A, B)])
+    K *= rng.choice([0.5, 0.9, 1.1, 3.0], size=12)[:, None, None]
+    K[4] = np.nan
+    for k in (1, 7, 12):
+        gains, status = pgac.linalg.policy_iterations(A[:k], B[:k], plant.Q, plant.R, K[:k])
+        for i in range(k):
+            try:
+                sol = solve_riccati_hewer(A[i], B[i], plant.Q, plant.R, K0=K[i])
+            except NotStabilizing:
+                assert status[i] == pgac.linalg.NOT_STABILIZING
+            except np.linalg.LinAlgError:
+                assert status[i] == pgac.linalg.SOLVE_FAILED
+            else:
+                assert status[i] == pgac.linalg.CONVERGED
+                assert np.array_equal(gains[i], sol.gain)
+            assert np.isnan(gains[i]).all() == (status[i] != pgac.linalg.CONVERGED)
+    assert set(status.tolist()) == {pgac.linalg.CONVERGED, pgac.linalg.NOT_STABILIZING,
+                                    pgac.linalg.SOLVE_FAILED}
