@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 bad configuration or usage, 3 I/O failure,
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -74,19 +75,22 @@ def cmd_run(args):
 
 
 def cmd_compare(args):
-    summaries = []
+    configs = []
     for path in args.configs:
         config = load_config(path)
         if args.timing:
             config = replace(config, record_timing=True)
-        summaries.append(run_monte_carlo(config, jobs=args.jobs))
-    lines = [summary_csv_text(summaries[0]).splitlines()[0]]
-    for summary in summaries:
-        lines.append(summary_csv_text(summary).splitlines()[1])
-    table = "\n".join(lines) + "\n"
-    sys.stdout.write(table)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+        check_run(config, args.jobs)
+        configs.append(config)
+    # every config is checked, and --out opened, before any trial runs
+    with open(args.out, "w", newline="") if args.out else nullcontext() as fh:
+        summaries = [run_monte_carlo(config, jobs=args.jobs) for config in configs]
+        lines = [summary_csv_text(summaries[0]).splitlines()[0]]
+        for summary in summaries:
+            lines.append(summary_csv_text(summary).splitlines()[1])
+        table = "\n".join(lines) + "\n"
+        sys.stdout.write(table)
+        if fh:
             fh.write(table)
     return 0
 

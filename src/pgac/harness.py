@@ -17,7 +17,6 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,10 +219,14 @@ def _kron_batch(n):
     return max(1, 2**18 // (8 * n**4))
 
 
-# Rows the monitor completes together at least: its SNR readings and
-# bookkeeping are one stacked call per flush whatever n is, while its
-# Lyapunov solves stay capped at _kron_batch gains per call.
-MONITOR_ROWS = 256
+def _monitor_rows(m, n):
+    # Trial-rows the monitor lets gather before it completes them with
+    # stacked calls: max(_kron_batch(n), 256), so that its Lyapunov stacks
+    # are full and one SNR call serves many steps, but no more than fill
+    # 256 KiB with the moment blocks they keep alive (a row's phi and wbar
+    # are views of its step's whole (m + 3n) x (m + n) block): 404 at n = 3,
+    # 51 at n = 12 with m = 4.
+    return max(1, min(max(_kron_batch(n), 256), 2**18 // (8 * (m + 3 * n) * (m + n))))
 
 
 def _true_costs(plant, gains):
@@ -346,8 +349,8 @@ def run_trials(config, trial_indices):
     A halted trial leaves the stack; a skipped one keeps its gain.  Every kernel acts on each
     trial alone, so each log is bitwise that of the trial run by itself.
     The monitor (true cost of each new gain, SNR of each record) lags the
-    loop, which never reads it: rows wait until max(_kron_batch,
-    MONITOR_ROWS) of them have gathered, and are completed by stacked calls.
+    loop, which never reads it: rows wait until _monitor_rows(m, n) of them
+    have gathered, and are completed by stacked calls.
     """
     plant, cstar = config.reference()
     m, n, horizon = plant.m, plant.n, config.horizon
@@ -431,7 +434,7 @@ def run_trials(config, trial_indices):
         segment_start = end
 
     threshold = config.divergence_threshold
-    batch = max(_kron_batch(n), MONITOR_ROWS)
+    batch = _monitor_rows(m, n)
     pending = ([], [], [], [], [], [])
 
     def norm(v):
@@ -544,6 +547,9 @@ def run_monte_carlo(config, jobs=1):
     n = config.trials
     workers = min(jobs, n, _usable_cpus())
     if workers > 1:
+        # imported here, so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(pool.map(run_trial, itertools.repeat(config, n), range(n)))
     else:

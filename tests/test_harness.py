@@ -1,3 +1,5 @@
+import concurrent.futures
+import json
 import math
 import os
 import subprocess
@@ -589,11 +591,14 @@ def test_stacked_monitor_equals_per_step_monitor():
     # seed 1: trial 0 starts from a gain that does not stabilize the plant,
     # and trial 1 runs 900 steps, past two batch boundaries (404 steps at
     # n = 3); seed 2 trial 1 skips some steps before it halts; on the
-    # 12-state plant every batch is a single step
+    # 12-state plant a batch is 51 steps, whose moment blocks fill 256 KiB:
+    # the Gauss-Newton trial's 120 steps cross two boundaries there, and the
+    # vanilla trial halts inside the first batch
+    assert (pgac.harness._monitor_rows(3, 3), pgac.harness._monitor_rows(4, 12)) == (404, 51)
     cases = [(ExperimentConfig(controller=spec, horizon=900, seed=1), (0, 1)) for spec in specs]
     cases.append((small_config(controller=specs[0], seed=2), (1,)))
     for spec in (specs[0], specs[2]):
-        cases.append((small_config(controller=spec, plant=_wide_plant(), horizon=20), (0,)))
+        cases.append((small_config(controller=spec, plant=_wide_plant(), horizon=120), (0,)))
     logs = []
     for cfg, trials in cases:
         for i in trials:
@@ -607,6 +612,7 @@ def test_stacked_monitor_equals_per_step_monitor():
     assert any(math.isinf(log.initial_gap) for log in logs)
     assert any(0 < sum(row[9] for row in log.rows) < len(log.rows) for log in logs)
     assert max(len(log.rows) for log in logs) > 2 * 404
+    assert [len(log.rows) for log in logs[-2:]] == [10, 120]
 
 
 # Every method and both regularized arms.  With the trials of seed 1 and a
@@ -720,7 +726,8 @@ def test_pool_never_outnumbers_trials(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(pgac.harness, "ProcessPoolExecutor", RecordingPool)
+    # run_monte_carlo imports the pool from its module when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     spec = ControllerSpec("direct_vanilla", InverseNormM(0.2))
     # (usable CPUs, trials, jobs, pool sizes started).  The usable CPUs are
     # the affinity mask's; the machine's count, which may be None, only
@@ -765,6 +772,31 @@ def test_cli_out_naming_a_file_exits_3_before_any_trial(tmp_path, monkeypatch, c
     assert runs == [] and taken.read_text() == "a file, not a directory"
 
 
+def test_cli_compare_checks_configs_and_out_before_any_trial(tmp_path, monkeypatch, capsys):
+    good = write_cfg(tmp_path, "good.cfg")
+    malformed = tmp_path / "malformed.cfg"
+    malformed.write_text("method = indirect_natural\neta = 0.2\nT = 1.5\n")
+    # loads, but check_run rejects its gain
+    wide_gain = tmp_path / "wide_gain.cfg"
+    wide_gain.write_text("method = indirect_natural\neta = 0.2\ninitial_gain = [[1.0, 2.0]]\n")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    runs = []
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda *a, **kw: runs.append(1))
+    cases = [([str(good), str(bad)], 2) for bad in (malformed, wide_gain)]
+    cases += [([str(bad), str(good)], 2) for bad in (malformed, wide_gain)]
+    cases.append(([str(good), str(good)], 3))
+    for configs, code in cases:
+        argv = ["compare", "--configs", *configs]
+        if code == 3:
+            argv += ["--out", str(folder)]  # a directory cannot be written as the table
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:" if code == 2 else "i/o error:")
+        assert captured.out == "" and runs == []
+    assert list(folder.iterdir()) == []
+
+
 def test_cli_compare_runs_multiple_configs(tmp_path, capsys):
     cfg_a = write_cfg(tmp_path, "a.cfg")
     cfg_b = tmp_path / "b.cfg"
@@ -803,6 +835,46 @@ def test_cli_module_entry_point(tmp_path):
         capture_output=True, text=True, cwd=str(tmp_path), env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.csv").is_file()
+
+
+_POOL_MODULES_SCRIPT = """
+import json, sys
+import pgac
+from pgac import cli, harness
+
+POOL = ("multiprocessing", "concurrent.futures.process")
+loaded = {"import": [m for m in POOL if m in sys.modules]}
+harness.run_monte_carlo(harness.load_config(sys.argv[1]), jobs=1)
+loaded["serial run"] = [m for m in POOL if m in sys.modules]
+assert cli.main(["selftest"]) == 0
+loaded["selftest"] = [m for m in POOL if m in sys.modules]
+assert cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2], "--jobs", "2"]) == 0
+loaded["pool"] = [m for m in POOL if m in sys.modules]
+loaded["cpus"] = harness._usable_cpus()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_pool_run_loads_multiprocessing(tmp_path):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text("method = indirect_natural\neta = 0.2\nT = 25\ntrials = 2\nseed = 3\n")
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(pgac.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_MODULES_SCRIPT, str(cfg), str(tmp_path / "pool")],
+        capture_output=True, text=True, cwd=str(tmp_path), env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["import"] == loaded["serial run"] == loaded["selftest"] == []
+    # --jobs 2 starts a pool where two CPUs are usable, and runs in-process where one is
+    assert loaded["pool"] == (["multiprocessing", "concurrent.futures.process"]
+                              if loaded["cpus"] > 1 else [])
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "serial")]) == 0
+    names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "pool").iterdir())
+    for name in names:
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 # Finite inputs whose samples overflow the data moments; each trial must halt
