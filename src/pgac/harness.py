@@ -15,6 +15,7 @@ shared evenly among the trials that took it.
 import ast
 import itertools
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -83,6 +84,16 @@ def benchmark_plant():
     return LinearQuadraticPlant(A, B, Q, R)
 
 
+def _integer(name, value):
+    # an integer of any type (np.int64 too) as an int; not a float or a bool
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything needed to reproduce one Monte Carlo experiment.
@@ -111,6 +122,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.controller, ControllerSpec):
             raise ConfigError("controller must be a ControllerSpec")
+        for name in ("t0", "horizon", "seed", "trials"):
+            setattr(self, name, _integer(name, getattr(self, name)))
         if self.t0 < 1:
             raise ConfigError(f"t0 must be >= 1, got {self.t0}")
         if self.horizon < 1:
@@ -220,12 +233,12 @@ def _kron_batch(n):
 
 
 def _monitor_rows(m, n):
-    # Trial-rows the monitor lets gather before it completes them with
-    # stacked calls: max(_kron_batch(n), 256), so that its Lyapunov stacks
-    # are full and one SNR call serves many steps, but no more than fill
-    # 256 KiB with the moment blocks they keep alive (a row's phi and wbar
-    # are views of its step's whole (m + 3n) x (m + n) block): 404 at n = 3,
-    # 51 at n = 12 with m = 4.
+    # Trial-rows a lockstep run's backlog gathers before a flush writes them:
+    # max(_kron_batch(n), 256), so that the monitor's Lyapunov stacks are
+    # full and one SNR call serves many steps, but no more than fill 256 KiB
+    # with the moment blocks they keep alive (a row's phi and wbar are views
+    # of its step's whole (m + 3n) x (m + n) block): 404 at n = 3, 51 at
+    # n = 12 with m = 4.
     return max(1, min(max(_kron_batch(n), 256), 2**18 // (8 * (m + 3 * n) * (m + n))))
 
 
@@ -262,31 +275,35 @@ class _Columns:
                    *(np.zeros(grid) for _ in range(3)), np.zeros(horizon, dtype=int),
                    np.zeros(horizon), np.zeros(horizon), np.zeros(trials, dtype=int))
 
-    def monitor(self, plant, pending):
-        """Fill in the monitor's columns of the pending rows, and empty
-        ``pending``: the true cost of each gain an update moved to and the
-        SNR of each record.
+    def flush(self, plant, running, backlog):
+        """Write every column of the backlog's rows, and empty it.
 
-        ``pending`` holds one list per field of a step: the running trials,
-        the step, the skip flags, the gains after it, and the record's
-        ``phi`` and ``wbar``, each a stack over the trials or one trial's
-        own.  The SNR of every row is one stacked call; the moved gains are
-        costed on the true plant in stacked calls of at most _kron_batch
-        gains.  The record replaces ``phi`` and ``wbar`` on every append and
-        the state its gain on every step, so the arrays kept here stay as
-        they were at their step.
+        ``backlog`` holds one tuple per step of the ``running`` trials, which
+        stay the same within it: the step; the state norms, running stage
+        costs, stepsizes and skip flags; the gains after it; and the
+        record's ``phi`` and ``wbar``; each a stack over the trials, a lone
+        trial's own, or (a stepsize) shared.  The SNR of every row is one
+        stacked call; the moved gains are costed in calls of at most
+        _kron_batch.  The record replaces ``phi`` and ``wbar`` on every
+        append and the state its gain on every step, so the arrays kept
+        here stay as they were at their step.
         """
-        trials, steps, skipped, gains, phis, wbars = pending
-        join = np.array if phis[0].ndim == 2 else np.concatenate
-        steps = np.repeat(steps, [len(running) for running in trials])
-        trials, moved = np.concatenate(trials), ~join(skipped)
-        for column, values in zip((self.gamma, self.delta, self.snr),
-                                  snr_readings(join(phis), join(wbars))):
-            column[trials, steps] = values
+        if not backlog:
+            return
+        steps, *loop, gains, phis, wbars = zip(*backlog)
+        # the rows: tile(running) x repeat(steps), as a (steps, trials) grid
+        trials, steps = np.broadcast_arrays(running, np.reshape(steps, (-1, 1)))
+        gains, phis, wbars = (np.reshape(a, (trials.size,) + a[0].shape[-2:])
+                              for a in (gains, phis, wbars))
+        for column, values in zip((self.state_norm, self.avg_stage_cost, self.eta, self.skipped,
+                                   self.gamma, self.delta, self.snr),
+                                  (*loop, *snr_readings(phis, wbars))):
+            column[trials, steps] = np.reshape(values, (len(backlog), -1))
+        moved = ~self.skipped[trials, steps]
         if moved.any():
-            self.cost[trials[moved], steps[moved]] = _true_costs(plant, join(gains)[moved])
-        for field in pending:
-            field.clear()
+            self.cost[trials[moved], steps[moved]] = _true_costs(plant, gains[moved.ravel()])
+        self.rows[running] = backlog[-1][0] + 1
+        backlog.clear()
 
     def logs(self, method, trial_indices, outcomes, initial_cost, cstar):
         """One TrajectoryLog per trial.  A row whose update did not move the
@@ -346,11 +363,13 @@ def run_trials(config, trial_indices):
     simulation step and one :func:`advance` per step for all running trials.
     A lone trial, or the last one left running, steps as a single-trial
     state on arrays without the trial axis, where numpy's calls cost less.
-    A halted trial leaves the stack; a skipped one keeps its gain.  Every kernel acts on each
-    trial alone, so each log is bitwise that of the trial run by itself.
-    The monitor (true cost of each new gain, SNR of each record) lags the
-    loop, which never reads it: rows wait until _monitor_rows(m, n) of them
-    have gathered, and are completed by stacked calls.
+    A halted trial leaves the stack; a skipped one keeps its gain.  Every
+    kernel acts on each trial alone, so each log is bitwise that of the
+    trial run by itself.  Each step's row waits in one backlog: the loop's
+    columns and the monitor's (true cost of each new gain, SNR of each
+    record), which the loop never reads, are written together by stacked
+    calls when _monitor_rows(m, n) rows have gathered, when a trial halts,
+    and at the end of the run.
     """
     plant, cstar = config.reference()
     m, n, horizon = plant.m, plant.n, config.horizon
@@ -363,12 +382,17 @@ def run_trials(config, trial_indices):
         for stream in (OFFLINE_STREAM, NOISE_STREAM, PROBE_STREAM))
     outcomes = [("completed", None)] * k
     running = np.arange(k)  # positions of the trials still running
+    columns = _Columns.empty(k, horizon)
+    backlog = []  # one row per step of the running trials, not yet in ``columns``
 
     def halt(trials, reason):
-        # halt the running trials that ``trials`` selects; the mask of the others
+        # flush, then halt the running trials that ``trials`` selects; the mask of the others
+        nonlocal running
+        columns.flush(plant, running, backlog)
         trials = np.reshape(trials, -1)
         for p in running[trials]:
             outcomes[p] = ("halted", reason)
+        running = running[~trials]
         return ~trials
 
     # a lone trial steps on its own arrays, without the trial axis
@@ -383,59 +407,35 @@ def run_trials(config, trial_indices):
     record = DataRecord(m, n, trials=None if lone else k)
     x = np.zeros(n) if lone else np.zeros((k, n))
     for j in range(config.t0):
-        if not len(running):
-            break
         x_next, _ = step(plant, x, U[..., j, :], W[..., j, :])
         try:
             record.append(U[..., j, :], x, x_next, W[..., j, :])
         except NonFiniteData as exc:
             keep = halt(exc.trials, f"initialization: {exc}")
-            running = running[keep]
             if lone or not len(running):
                 break
             record, x, x_next, U, W = record.take(keep), x[keep], x_next[keep], U[keep], W[keep]
             record.append(U[..., j, :], x, x_next, W[..., j, :])
         x = x_next
 
-    states, ready = [], []
-    for j, p in enumerate(running):
+    states, offline = [], running
+    for j, p in enumerate(offline):
         try:
             states.append(initialize(config.controller, plant.Q, plant.R,
                                      record if lone else record.take(j),
                                      K_init=config.initial_gain))
-            ready.append(j)
         except (InitialGainUnstable, NotPersistentlyExciting) as exc:
-            outcomes[p] = ("halted", f"initialization: {exc}")
-    running = running[ready]
-    columns = _Columns.empty(k, horizon)
+            halt(running == p, f"initialization: {exc}")
     initial_cost = np.full(k, math.inf)
     if not states:
         return columns.logs(config.controller.method.value, trial_indices, outcomes,
                             initial_cost, cstar)
-    if len(states) == 1:
-        state, x, lone = states[0], x.reshape(-1, n)[ready[0]], True
-    else:
-        state, x = ControllerState.stack(states), x[ready]
+    x, lone = x.reshape(-1, n)[np.isin(offline, running)], len(states) == 1
+    state, x = (states[0], x[0]) if lone else (ControllerState.stack(states), x)
     initial_cost[running] = _true_costs(plant, state.gain.reshape(-1, m, n))
-
-    # per-step columns of the running trials wait in ``segment`` until the
-    # set of running trials changes or the run ends
-    segment, segment_start = ([], [], [], []), 0
-
-    def close_segment(end):
-        nonlocal segment_start
-        if end > segment_start:
-            for column, values in zip((columns.state_norm, columns.avg_stage_cost,
-                                       columns.eta, columns.skipped), segment):
-                column[running, segment_start:end] = np.reshape(
-                    values, (end - segment_start, -1)).T
-                values.clear()
-            columns.rows[running] = end
-        segment_start = end
 
     threshold = config.divergence_threshold
     batch = _monitor_rows(m, n)
-    pending = ([], [], [], [], [], [])
 
     def norm(v):
         return math.sqrt(v @ v) if lone else np.sqrt(_row_dots(v))
@@ -445,21 +445,16 @@ def run_trials(config, trial_indices):
         nonlocal state, lone
         if lone or keep.sum() > 1:
             return (state.take(keep),) + tuple(a[keep] for a in arrays)
-        if pending[0]:
-            columns.monitor(plant, pending)
         lone, (i,) = True, np.flatnonzero(keep)
         return (state.take(i),) + tuple(float(a[i]) if a.ndim == 1 else a[i] for a in arrays)
 
     x_norm = norm(x)
     z2_sum = 0.0 if lone else np.zeros(len(running))
     E = Wb = np.zeros((len(running), 0, 0))  # the first step draws the first blocks
-    steps = 0
     for s in range(horizon):
         b = s % DRAW_BLOCK
         if x_norm > threshold if lone else x_norm.max() > threshold:
             keep = halt(x_norm > threshold, "diverged")
-            close_segment(s)
-            running = running[keep]
             if not len(running):
                 break
             state, x, x_norm, z2_sum, E, Wb = take(keep, x, x_norm, z2_sum, E, Wb)
@@ -476,8 +471,6 @@ def run_trials(config, trial_indices):
                 break
             except NonFiniteData as exc:
                 keep = halt(exc.trials, f"diverged: {exc}")
-                close_segment(s)
-                running = running[keep]
                 if not len(running):
                     break
                 state, x, u, w, x_next, z, z2_sum, E, Wb = take(
@@ -487,20 +480,12 @@ def run_trials(config, trial_indices):
         dt = (time.perf_counter() - tic) / len(running) if config.record_timing else 0.0
         z2_sum = z2_sum + _row_dots(z)
         x_norm = norm(x_next)
-        for values, value in zip(segment, (x_norm, z2_sum / (s + 1), state.last_eta,
-                                           state.last_skipped)):
-            values.append(value)
         columns.t[s], columns.lam[s], columns.step_time[s] = state.record.t, state.last_lambda, dt
-        for field, value in zip(pending, (running, s, state.last_skipped, state.gain,
-                                          state.record.phi, state.record.wbar)):
-            field.append(value)
-        if len(pending[0]) * len(running) >= batch:
-            columns.monitor(plant, pending)
+        backlog.append((s, x_norm, z2_sum / (s + 1), state.last_eta, state.last_skipped,
+                        state.gain, state.record.phi, state.record.wbar))
+        if len(backlog) * len(running) >= batch:
+            columns.flush(plant, running, backlog)
         x = x_next
-        steps = s + 1
-    close_segment(steps)
-    if pending[0]:
-        columns.monitor(plant, pending)
     if len(running):
         halt(x_norm > threshold, "diverged")
     return columns.logs(config.controller.method.value, trial_indices, outcomes,
@@ -524,7 +509,7 @@ def _usable_cpus():
 def check_run(config, jobs):
     """Raise ``ConfigError`` for a config or a job count that cannot run,
     before any trial does; returns ``config.reference()``."""
-    if jobs < 1:
+    if _integer("jobs", jobs) < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     return config.reference()
 
@@ -541,7 +526,7 @@ def run_monte_carlo(config, jobs=1):
     trial order and every log is bitwise that of its trial run alone, so
     output is byte-identical for any ``jobs``.  The optimum is solved once,
     before the pool starts, and sent to the workers with the config.
-    ``jobs`` < 1 raises ``ConfigError``.
+    ``jobs`` < 1, or not an integer, raises ``ConfigError``.
     """
     plant, _ = check_run(config, jobs)
     n = config.trials

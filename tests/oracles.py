@@ -19,6 +19,9 @@ from pgac import (
     initialize,
     lqr_cost,
     optimal_gain,
+    parameterize,
+    regularized_direct_cost,
+    regularized_direct_gradient,
     snr_reading,
     solve_dlyap_closed,
     solve_riccati_hewer,
@@ -27,7 +30,7 @@ from pgac import (
 from pgac.dataflow import ModelEstimate
 from pgac.errors import InitialGainUnstable, NotPersistentlyExciting, NotStabilizing
 from pgac.harness import NOISE_STREAM, OFFLINE_STREAM, PROBE_STREAM, trial_rng
-from pgac.linalg import STABILITY_MARGIN, is_stabilizing, spectral_radius
+from pgac.linalg import STABILITY_MARGIN, is_stabilizing, nullspace_projector, spectral_radius
 
 
 def central_fd_gradient(f, K, h=1e-6):
@@ -242,6 +245,25 @@ def identity_record(m, n):
     X0 = D[m:]
     X1 = np.zeros((n, d))
     return record_from_arrays(U0, X0, X1, W0=np.zeros((n, d)))
+
+
+def data_moment_natural_step(record, K, Q, R, eta, lam=0.0):
+    """The natural policy step from data moments alone, with no model estimate:
+
+        K - eta (Phi^-1 Phi^-1)_uu Ubar Pi grad_V J_lam(V) Sigma^-1,
+
+    with V = Phi^-1 [K; I] and Pi the projector onto the null space of Xbar0.
+    The null space is Phi^-1 [I; 0] applied to R^m, so (Phi^-1 Phi^-1)_uu
+    Ubar Pi maps the V-gradient to the K-gradient, and Sigma^-1, the
+    data-implied closed-loop covariance, makes it natural.
+    """
+    V = parameterize(record, K)
+    grad = regularized_direct_gradient(record, V, Q, R, lam=lam)
+    sigma = regularized_direct_cost(record, V, Q, R, lam=lam).sigma
+    phi_inv_sq = record.phi_inv @ record.phi_inv
+    projected = record.ubar @ nullspace_projector(record.xbar0) @ grad
+    grad_K = phi_inv_sq[: record.m, : record.m] @ projected
+    return K - eta * grad_K @ np.linalg.inv(sigma)
 
 
 def per_step_monitor_trial(config, trial_index):

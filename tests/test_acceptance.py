@@ -14,6 +14,7 @@ import numpy as np
 from oracles import (
     central_fd_gradient,
     dare_value_iteration,
+    data_moment_natural_step,
     gain_for_estimate,
     random_scalar_plant,
     random_stabilizing_gain,
@@ -200,6 +201,20 @@ def test_criterion_04_natural_steps_agree_across_routes():
         K_model = natural_step(est, plant.Q, plant.R, K, eta,
                                phi_inv=rec.phi_inv if lam > 0 else None, lam=lam)
         assert np.linalg.norm(K_direct - K_model) <= 1e-10
+
+
+def test_natural_step_from_data_moments_bridges_to_model_route():
+    # criterion 04's natural_direct_step calls natural_step at the batch
+    # estimate, so it compares a function with itself; this step reads only
+    # the data moments, so it checks the bridge independently
+    for i in range(100):
+        plant, rec, est, K = estimate_case(i, seed_base=25_000)
+        eta = np.random.default_rng(35_000 + i).uniform(0.01, 0.4)
+        for lam in (0.0, 0.1):
+            K_data = data_moment_natural_step(rec, K, plant.Q, plant.R, eta, lam=lam)
+            K_model = natural_step(est, plant.Q, plant.R, K, eta,
+                                   phi_inv=rec.phi_inv if lam > 0 else None, lam=lam)
+            assert np.linalg.norm(K_data - K_model) <= 1e-10 * np.linalg.norm(K_model)
 
 
 def test_criterion_05_half_step_gauss_newton_replays_policy_iteration():

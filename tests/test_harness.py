@@ -122,6 +122,27 @@ def test_experiment_config_validation():
     assert plant.n == 2 and plant.m == 2
 
 
+def test_integer_fields_and_jobs_refuse_floats_and_bools():
+    # a float stopped inside the run with a bare TypeError, or (seed) ran as
+    # its floor; a bool ran as 0 or 1
+    spec = ControllerSpec("indirect_vanilla", ConstantStep(0.1))
+    for name, value in (("t0", 20.0), ("horizon", 10.5), ("seed", 1.5), ("trials", 2.0),
+                        ("trials", True), ("seed", np.float64(1.0)), ("horizon", np.True_)):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            ExperimentConfig(controller=spec, **{name: value})
+    cfg = small_config(trials=2, horizon=20)
+    for jobs in (2.0, 1.5, True, np.float64(1.0)):
+        with pytest.raises(ConfigError, match="^jobs must be an integer"):
+            run_monte_carlo(cfg, jobs=jobs)
+    # any integer type is taken as its int, and gives the same bytes
+    typed = small_config(t0=np.int64(20), horizon=np.int32(20), seed=np.uint8(3),
+                         trials=np.int64(2))
+    assert [type(v) for v in (typed.t0, typed.horizon, typed.seed, typed.trials)] == [int] * 4
+    assert typed == small_config(t0=20, horizon=20, seed=3, trials=2)
+    assert ([trajectory_csv_text(log) for log in run_monte_carlo(typed, jobs=np.int64(1)).logs]
+            == [trajectory_csv_text(log) for log in run_monte_carlo(cfg).logs])
+
+
 def test_noiseless_trial_pins_the_optimum():
     plant = benchmark_plant()
     K_star, _ = optimal_gain(plant)
@@ -613,6 +634,15 @@ def test_stacked_monitor_equals_per_step_monitor():
     assert any(0 < sum(row[9] for row in log.rows) < len(log.rows) for log in logs)
     assert max(len(log.rows) for log in logs) > 2 * 404
     assert [len(log.rows) for log in logs[-2:]] == [10, 120]
+    # in lockstep, five of six trials halt after 1, 5, 8, 17 and 20 steps,
+    # inside the first backlog, so each halt writes the rows gathered so
+    # far; trial 2 then finishes alone, without the trial axis
+    cfg = ExperimentConfig(ControllerSpec("indirect_vanilla", ConstantStep(0.6)), seed=1,
+                           trials=6, horizon=400, divergence_threshold=20.0)
+    together = run_trials(cfg, range(6))
+    assert [len(log.rows) for log in together] == [1, 17, 400, 20, 5, 8]
+    for i, log in enumerate(together):
+        assert trajectory_csv_text(log) == trajectory_csv_text(per_step_monitor_trial(cfg, i))
 
 
 # Every method and both regularized arms.  With the trials of seed 1 and a
