@@ -14,7 +14,6 @@ from .controller import (
     ControllerState,
     InverseNormM,
     InverseSqrtLambda,
-    Method,
     ZeroLambda,
     advance,
     control_input,

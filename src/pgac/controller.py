@@ -5,10 +5,11 @@ feedback gain.  Each :func:`advance` logs one closed-loop transition and
 performs one policy update from the record's batch least-squares estimate,
 built once per sample; the true plant matrices are never touched.
 
-A state steps one trial, or the trials of a stacked record in lockstep: its
-gain, stepsize and skip flag then carry a leading trial axis.  The update
-runs on stacked kernels either way, a single trial being a stack of one, and
-each trial's numbers are bitwise those of its own run.
+A state steps one trial on 2-D arrays, or the trials of a stacked record in
+lockstep on stacked kernels: its gain, stepsize and skip flag then carry a
+leading trial axis.  A lone trial's failed update raises inside the engines,
+a stacked trial's is a NaN gain for that trial; either way each trial's
+numbers are bitwise those of its own run.
 
 A step has one failure path: a trial's step is skipped (the transition is
 still logged, the gain kept and ``last_skipped`` set) when its stepsize or
@@ -21,8 +22,8 @@ harness's job.
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -49,19 +50,11 @@ from .linalg import (
 )
 
 
-class Method(str, Enum):
-    """Available policy-update methods."""
-
-    INDIRECT_VANILLA = "indirect_vanilla"
-    INDIRECT_NATURAL = "indirect_natural"
-    INDIRECT_GAUSS_NEWTON = "indirect_gauss_newton"
-    ADAPTIVE_HEWER = "adaptive_hewer"
-    DIRECT_VANILLA = "direct_vanilla"
-    DIRECT_NATURAL = "direct_natural"
-    ONE_SHOT_CE = "one_shot_ce"
-
-
-DIRECT_METHODS = frozenset({Method.DIRECT_VANILLA, Method.DIRECT_NATURAL})
+def _real(name, value, error=ValueError):
+    # a real number of any type (np.float32 too); not a bool, str or None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return value
+    raise error(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ class ConstantStep:
     eta: float
 
     def __post_init__(self):
-        if not 0 < self.eta < math.inf:
+        if not 0 < _real("eta", self.eta) < math.inf:
             raise ValueError(f"constant stepsize must be positive and finite, got {self.eta}")
 
     def __call__(self, record):
@@ -82,28 +75,30 @@ class ConstantStep:
 class InverseNormM:
     """Data-adaptive stepsize eta_t = coeff / ||M_t|| with M_t the scaling
     matrix of the current record; direct methods only.  NaN, which skips the
-    step, where M is zero or its norm cannot be taken; one per trial of a
-    stacked record."""
+    step, where M is zero or non-finite or its norm cannot be taken; one per
+    trial of a stacked record."""
 
     coeff: float
 
     def __post_init__(self):
-        if not 0 < self.coeff < math.inf:
+        if not 0 < _real("InverseNormM coeff", self.coeff) < math.inf:
             raise ValueError(f"InverseNormM coeff must be positive and finite, got {self.coeff}")
 
     def __call__(self, record):
         M = direct_engine.scaling_matrix(record)
         # the spectral norm, as np.linalg.norm(M, 2) takes it: the largest
-        # singular value, first in LAPACK's descending order
+        # singular value, first in LAPACK's descending order.  A non-finite
+        # M never reaches LAPACK, which rejects it by printing to stdout.
+        finite = np.isfinite(M).all(axis=(-2, -1))
         if M.ndim == 2:
             try:
-                norm = float(np.linalg.svd(M, compute_uv=False)[0])
+                norm = float(np.linalg.svd(M, compute_uv=False)[0]) if finite else math.nan
             except np.linalg.LinAlgError:
                 return math.nan
             return self.coeff / norm if norm > 0.0 else math.nan
-        top, ok = each_slice(lambda M: np.linalg.svd(M, compute_uv=False)[:, 0], M)
+        top, ok = each_slice(lambda M: np.linalg.svd(M, compute_uv=False)[:, 0], M[finite])
         norm = np.full(len(M), math.nan)
-        norm[np.s_[:] if ok is None else ok] = top
+        norm[np.flatnonzero(finite)[np.s_[:] if ok is None else ok]] = top
         return np.divide(self.coeff, norm, out=np.full(len(M), math.nan), where=norm > 0.0)
 
 
@@ -123,7 +118,7 @@ class InverseSqrtLambda:
     lambda0: float
 
     def __post_init__(self):
-        if not math.isfinite(self.lambda0):
+        if not math.isfinite(_real("lambda0", self.lambda0)):
             raise ValueError(f"lambda0 must be finite, got {self.lambda0}")
         if self.lambda0 < 0:
             raise NegativeLambda(f"lambda0 must be nonnegative, got {self.lambda0}")
@@ -132,57 +127,98 @@ class InverseSqrtLambda:
         return self.lambda0 if t == t0 else self.lambda0 / math.sqrt(t - t0)
 
 
-# Methods whose stepsize is part of their definition: adaptive Hewer is
-# Gauss-Newton at eta = 1/2, one-shot CE re-solves the Riccati equation.
-FIXED_STEPSIZE_RULES = {
-    Method.ADAPTIVE_HEWER: ConstantStep(0.5),
-    Method.ONE_SHOT_CE: None,
+def _vanilla(est, Q, R, K, eta, phi_inv, lam, precondition):
+    grad, keep = indirect_engine.gradients(est, Q, R, K, phi_inv, lam)
+    K, eta = select_slices(keep, K, eta)
+    if precondition is not None:
+        # the projected covariance step Ubar Pi grad_V(V) equals the model
+        # gradient preconditioned by M = Ubar Pi Ubar' (criterion 03)
+        grad = precondition(keep) @ grad
+    return K - eta * grad, keep
+
+
+def _natural(est, Q, R, K, eta, phi_inv, lam, precondition):
+    return indirect_engine.natural_steps(est, Q, R, K, eta, phi_inv, lam)
+
+
+def _gauss_newton(est, Q, R, K, eta, phi_inv, lam, precondition):
+    return indirect_engine.gauss_newton_steps(est, Q, R, K, eta, phi_inv, lam)
+
+
+def _one_shot(est, Q, R, K, eta, phi_inv, lam, precondition):
+    # Warm start from the current gain; when it, or an iterate it leads to,
+    # fails to stabilize the estimate, start over from scratch.  A stack of
+    # trials runs in lockstep, each trial restarting alone where needed.
+    A, B = est.Ahat, est.Bhat
+    if K.ndim == 2:
+        try:
+            return solve_riccati_hewer(A, B, Q, R, K0=K).gain, None
+        except NotStabilizing:
+            return solve_riccati_hewer(A, B, Q, R).gain, None
+    gains, status = policy_iterations(A, B, Q, R, K)
+    for i in np.flatnonzero(status == NOT_STABILIZING):
+        try:
+            gains[i] = solve_riccati_hewer(A[i], B[i], Q, R).gain
+        except (NotStabilizing, NoConvergence, np.linalg.LinAlgError):
+            pass
+    return gains, None
+
+
+# Every method as (update, direct route, stepsize rule).  The direct route
+# preconditions the vanilla gradient by M and allows InverseNormM.  A rule
+# other than _ANY is fixed by the method's definition: adaptive Hewer is
+# Gauss-Newton at eta = 1/2, and one-shot CE (None) takes no step and no lambda.
+_ANY = object()
+METHODS = {
+    "indirect_vanilla": (_vanilla, False, _ANY),
+    "indirect_natural": (_natural, False, _ANY),
+    "indirect_gauss_newton": (_gauss_newton, False, _ANY),
+    "adaptive_hewer": (_gauss_newton, False, ConstantStep(0.5)),
+    "direct_vanilla": (_vanilla, True, _ANY),
+    "direct_natural": (_natural, True, _ANY),
+    "one_shot_ce": (_one_shot, False, None),
 }
 
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """Immutable description of a controller.
+    """Immutable description of a controller: a method of :data:`METHODS`
+    by name and its rules.  A method with a fixed stepsize rule may omit it,
+    and rejects any other."""
 
-    AdaptiveHewer is Gauss-Newton at eta = 1/2 and OneShotCE takes no step,
-    by definition: their stepsize rule may be omitted, and any other rule is
-    rejected.  Regularization applies to the gradient-based updates; the
-    Riccati re-solve of OneShotCE has no use for it, so OneShotCE rejects any
-    lambda rule but ZeroLambda.
-    """
-
-    method: Method
+    method: str
     stepsize_rule: object = None
     lambda_rule: object = ZeroLambda()
     probe_std: float = 1.0
 
     def __post_init__(self):
-        method = Method(self.method)
-        object.__setattr__(self, "method", method)
-        if method in FIXED_STEPSIZE_RULES:
-            fixed = FIXED_STEPSIZE_RULES[method]
+        if not isinstance(self.method, str) or self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}, expected one of "
+                             f"{', '.join(METHODS)}")
+        _, direct, fixed = METHODS[self.method]
+        if fixed is not _ANY:
             if self.stepsize_rule not in (None, fixed):
                 raise RuleMismatch(
-                    f"method {method.value} fixes its stepsize rule to {fixed!r}, "
+                    f"method {self.method} fixes its stepsize rule to {fixed!r}, "
                     f"got {self.stepsize_rule!r}"
                 )
             object.__setattr__(self, "stepsize_rule", fixed)
         elif not isinstance(self.stepsize_rule, (ConstantStep, InverseNormM)):
             raise ValueError(
-                f"method {method.value} requires a ConstantStep or InverseNormM stepsize "
+                f"method {self.method} requires a ConstantStep or InverseNormM stepsize "
                 f"rule, got {self.stepsize_rule!r}"
             )
-        if isinstance(self.stepsize_rule, InverseNormM) and method not in DIRECT_METHODS:
+        if isinstance(self.stepsize_rule, InverseNormM) and not direct:
             raise RuleMismatch(
-                f"InverseNormM stepsizes require a direct method, got {method.value}"
+                f"InverseNormM stepsizes require a direct method, got {self.method}"
             )
         if not isinstance(self.lambda_rule, (ZeroLambda, InverseSqrtLambda)):
             raise ValueError(f"unknown lambda rule {self.lambda_rule!r}")
-        if method is Method.ONE_SHOT_CE and not isinstance(self.lambda_rule, ZeroLambda):
+        if fixed is None and not isinstance(self.lambda_rule, ZeroLambda):
             raise RuleMismatch(
-                f"method {method.value} does not regularize, got lambda rule {self.lambda_rule!r}"
+                f"method {self.method} does not regularize, got lambda rule {self.lambda_rule!r}"
             )
-        if not 0 <= self.probe_std < math.inf:
+        if not 0 <= _real("probe_std", self.probe_std) < math.inf:
             raise ValueError(
                 f"probe_std must be nonnegative and finite, got {self.probe_std}"
             )
@@ -285,29 +321,10 @@ def lambda_value(spec, t, t0):
 
 def stepsize(state):
     """Stepsize the next update will use, under the spec's rule; NaN for a
-    method without one (OneShotCE re-solves the Riccati equation outright).
+    method without one (one_shot_ce re-solves the Riccati equation outright).
     """
     rule = state.spec.stepsize_rule
     return math.nan if rule is None else rule(state.record)
-
-
-def _one_shot(estimate, Q, R, K):
-    # Warm start from the current gain; when it, or an iterate it leads to,
-    # fails to stabilize the estimate, start over from scratch.  A stack of
-    # trials runs in lockstep, each trial restarting alone where needed.
-    A, B = estimate.Ahat, estimate.Bhat
-    if K.ndim == 2:
-        try:
-            return solve_riccati_hewer(A, B, Q, R, K0=K).gain
-        except NotStabilizing:
-            return solve_riccati_hewer(A, B, Q, R).gain
-    gains, status = policy_iterations(A, B, Q, R, K)
-    for i in np.flatnonzero(status == NOT_STABILIZING):
-        try:
-            gains[i] = solve_riccati_hewer(A[i], B[i], Q, R).gain
-        except (NotStabilizing, NoConvergence, np.linalg.LinAlgError):
-            pass
-    return gains
 
 
 def _policy_update(spec, Q, R, K, record, eta, lam):
@@ -318,7 +335,7 @@ def _policy_update(spec, Q, R, K, record, eta, lam):
     stepsize per trial (NaN where the rule failed); the next gains are NaN
     where a trial's update failed.
     """
-    method = spec.method
+    update, direct, _ = METHODS[spec.method]
     phi_inv, live = record.inverse()
     step_eta = eta
     if isinstance(eta, np.ndarray):
@@ -333,23 +350,11 @@ def _policy_update(spec, Q, R, K, record, eta, lam):
         xbar1, phi_inv, gains, step_eta = select_slices(live, xbar1, phi_inv, K, step_eta)
     est = ModelEstimate.from_theta(xbar1 @ phi_inv, record.m)
     phi_inv = phi_inv if lam > 0.0 else None
-    if method in (Method.INDIRECT_VANILLA, Method.DIRECT_VANILLA):
-        grad, keep = indirect_engine.gradients(est, Q, R, gains, phi_inv, lam)
-        gains, step_eta = select_slices(keep, gains, step_eta)
-        if method is Method.DIRECT_VANILLA:
-            # the projected covariance step Ubar Pi grad_V(V) equals the model
-            # gradient preconditioned by M = Ubar Pi Ubar' (criterion 03)
-            M = direct_engine.scaling_matrix(record)
-            grad = select_slices(nested_mask(live, keep), M)[0] @ grad
-        step = gains - step_eta * grad
-    elif method in (Method.INDIRECT_NATURAL, Method.DIRECT_NATURAL):
-        step, keep = indirect_engine.natural_steps(est, Q, R, gains, step_eta, phi_inv, lam)
-    elif method in (Method.INDIRECT_GAUSS_NEWTON, Method.ADAPTIVE_HEWER):
-        step, keep = indirect_engine.gauss_newton_steps(est, Q, R, gains, step_eta, phi_inv, lam)
-    elif method is Method.ONE_SHOT_CE:
-        step, keep = _one_shot(est, Q, R, gains), None
-    else:
-        raise RuleMismatch(f"unknown method {method!r}")
+
+    def precondition(keep):
+        # the direct route's M, of the trials whose step was taken
+        return select_slices(nested_mask(live, keep), direct_engine.scaling_matrix(record))[0]
+    step, keep = update(est, Q, R, gains, step_eta, phi_inv, lam, precondition if direct else None)
     if live is None and keep is None:
         return step
     updated = nested_mask(live, keep)

@@ -19,6 +19,9 @@ from .errors import (
 )
 from .linalg import each_slice, symmetrize
 
+# Rank-one updates of a record's inverse between two dense re-inversions.
+REINVERT_EVERY = 1000
+
 
 class DataRecord:
     """Growing record of one closed-loop trajectory, or of ``trials`` of them
@@ -36,7 +39,7 @@ class DataRecord:
     are bitwise those of a record of that trial alone.
 
     The inverse of Phi is tracked with rank-one (Sherman-Morrison) updates
-    once available and re-inverted densely every ``reinvert_every`` updates
+    once available and re-inverted densely every ``REINVERT_EVERY`` updates
     to stop drift; accessing :attr:`phi_inv` before Phi is invertible raises
     ``NotPersistentlyExciting``.
 
@@ -47,7 +50,7 @@ class DataRecord:
     relies on this.
     """
 
-    def __init__(self, m, n, reinvert_every=1000, trials=None):
+    def __init__(self, m, n, trials=None):
         if m < 1 or n < 1:
             raise DimensionMismatch(f"need m >= 1 and n >= 1, got m={m}, n={n}")
         self.m = int(m)
@@ -65,7 +68,6 @@ class DataRecord:
         self._phi_inv = np.full(lead + (d, d), np.nan)
         self._inverted = np.zeros(lead or (1,), dtype=bool)
         self._inverted_at = np.zeros(lead or (1,), dtype=int)
-        self._reinvert_every = int(reinvert_every)
         self._derived = {}
         self._sync()
 
@@ -76,7 +78,7 @@ class DataRecord:
         # dense re-inversion.
         self._all_inverted = bool(self._inverted.all())
         self._any_inverted = bool(self._inverted.any())
-        self._next_dense = (int(self._inverted_at[self._inverted].min()) + self._reinvert_every
+        self._next_dense = (int(self._inverted_at[self._inverted].min()) + REINVERT_EVERY
                             if self._any_inverted else math.inf)
 
     @property
@@ -188,7 +190,7 @@ class DataRecord:
         self._phi_inv = symmetrize((t_before + 1) * (ainv - outer))
         if self.t >= self._next_dense:
             self._invert_dense(self._inverted
-                               & (self.t - self._inverted_at >= self._reinvert_every))
+                               & (self.t - self._inverted_at >= REINVERT_EVERY))
 
     def _invert_dense(self, trials):
         # Dense inverse of the selected trials' Phi (a mask over the trial

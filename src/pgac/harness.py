@@ -29,13 +29,12 @@ from .controller import (
     InverseNormM,
     InverseSqrtLambda,
     ZeroLambda,
+    _real,
     advance,
     control_input,
     initialize,
 )
-# lqr_cost and snr_reading are bound here only so that perfbench's tracer can
-# wrap them by these names; no pgac code calls them here.
-from .dataflow import DataRecord, snr_reading, snr_readings  # noqa: F401
+from .dataflow import DataRecord, snr_readings
 from .errors import (
     ConfigError,
     InitialGainUnstable,
@@ -43,7 +42,11 @@ from .errors import (
     NotPersistentlyExciting,
     PgacError,
 )
-from .plant import LinearQuadraticPlant, lqr_cost, optimal_gain, step, true_costs  # noqa: F401
+from .plant import LinearQuadraticPlant, optimal_gain, step, true_costs
+# snr_reading and lqr_cost are bound here only so that perfbench's tracer can
+# wrap them by these names; no pgac code calls them here.
+from .dataflow import snr_reading  # noqa: F401
+from .plant import lqr_cost  # noqa: F401
 
 OFFLINE_STREAM = 0
 NOISE_STREAM = 1
@@ -124,6 +127,8 @@ class ExperimentConfig:
             raise ConfigError("controller must be a ControllerSpec")
         for name in ("t0", "horizon", "seed", "trials"):
             setattr(self, name, _integer(name, getattr(self, name)))
+        for name in ("sigma_w", "sigma_u_offline", "divergence_threshold"):
+            _real(name, getattr(self, name), ConfigError)
         if self.t0 < 1:
             raise ConfigError(f"t0 must be >= 1, got {self.t0}")
         if self.horizon < 1:
@@ -428,7 +433,7 @@ def run_trials(config, trial_indices):
             halt(running == p, f"initialization: {exc}")
     initial_cost = np.full(k, math.inf)
     if not states:
-        return columns.logs(config.controller.method.value, trial_indices, outcomes,
+        return columns.logs(config.controller.method, trial_indices, outcomes,
                             initial_cost, cstar)
     x, lone = x.reshape(-1, n)[np.isin(offline, running)], len(states) == 1
     state, x = (states[0], x[0]) if lone else (ControllerState.stack(states), x)
@@ -488,7 +493,7 @@ def run_trials(config, trial_indices):
         x = x_next
     if len(running):
         halt(x_norm > threshold, "diverged")
-    return columns.logs(config.controller.method.value, trial_indices, outcomes,
+    return columns.logs(config.controller.method, trial_indices, outcomes,
                         initial_cost, cstar)
 
 
@@ -549,7 +554,7 @@ def run_monte_carlo(config, jobs=1):
     times = [row[10] for lg in logs for row in lg.rows]
     mean_time = float(np.mean(times)) if times else 0.0
     return MonteCarloSummary(
-        method=config.controller.method.value,
+        method=config.controller.method,
         trials=config.trials,
         convergence_rate=rate,
         median_relative_gap=median_gap,

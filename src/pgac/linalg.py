@@ -27,6 +27,11 @@ _RANK_RCOND = 1e-10
 
 _SYM_TOL = 1e-8
 
+# Policy iteration stops once the Frobenius change between successive gains
+# drops below RICCATI_TOL, and gives up after RICCATI_MAX_ITER improvements.
+RICCATI_TOL = 1e-10
+RICCATI_MAX_ITER = 500
+
 _lyap_solves = 0
 
 _identities = {}
@@ -155,10 +160,10 @@ def symmetrize(X):
     return 0.5 * (X + X.swapaxes(-1, -2))
 
 
-def _require_symmetric(W, name, tol=_SYM_TOL):
+def _require_symmetric(W, name):
     skew = float(np.max(np.abs(W - W.T))) if W.size else 0.0
     scale = float(np.max(np.abs(W))) if W.size else 0.0
-    if skew > tol * max(1.0, scale):
+    if skew > _SYM_TOL * max(1.0, scale):
         raise NonSymmetric(f"{name} is asymmetric: max|{name} - {name}'| = {skew:.3e}")
 
 
@@ -392,7 +397,7 @@ class RiccatiSolution:
         return self._residual
 
 
-def solve_riccati_hewer(A, B, Q, R, K0=None, tol=1e-10, max_iter=500):
+def solve_riccati_hewer(A, B, Q, R, K0=None):
     """Solve the discrete algebraic Riccati equation by policy iteration.
 
     Parameters
@@ -404,11 +409,6 @@ def solve_riccati_hewer(A, B, Q, R, K0=None, tol=1e-10, max_iter=500):
     K0 : array_like, optional
         Stabilizing initial gain.  When omitted, one is constructed with
         :func:`initial_stabilizing_gain`.
-    tol : float
-        Convergence threshold on the Frobenius change between successive
-        gains.
-    max_iter : int
-        Iteration budget; exceeded budgets raise ``NoConvergence``.
 
     Returns
     -------
@@ -424,8 +424,8 @@ def solve_riccati_hewer(A, B, Q, R, K0=None, tol=1e-10, max_iter=500):
         stabilize (A, B) with the stability margin; also if no ``K0`` is
         given and :func:`initial_stabilizing_gain` fails.
     NoConvergence
-        If the gain change has not dropped below ``tol`` within ``max_iter``
-        improvement steps.
+        If the gain change has not dropped below ``RICCATI_TOL`` within
+        ``RICCATI_MAX_ITER`` improvement steps.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -438,20 +438,20 @@ def solve_riccati_hewer(A, B, Q, R, K0=None, tol=1e-10, max_iter=500):
     else:
         K = np.asarray(K0, dtype=float)
         F = _stable_closed_loop(A, B, K)
-    for i in range(1, max_iter + 1):
+    for i in range(1, RICCATI_MAX_ITER + 1):
         K_next = _improved_gain(A, B, R, _policy_value(Q, R, K, F))
         F = _stable_closed_loop(A, B, K_next)
-        if np.linalg.norm(K_next - K) < tol:
+        if np.linalg.norm(K_next - K) < RICCATI_TOL:
             return RiccatiSolution(K_next, i, A, B, Q, R, F)
         K = K_next
-    raise NoConvergence(f"no convergence after {max_iter} policy improvements")
+    raise NoConvergence(f"no convergence after {RICCATI_MAX_ITER} policy improvements")
 
 
 # Outcomes of policy_iterations, per trial.
 CONVERGED, NOT_STABILIZING, NO_CONVERGENCE, SOLVE_FAILED = range(4)
 
 
-def policy_iterations(A, B, Q, R, K, tol=1e-10, max_iter=500):
+def policy_iterations(A, B, Q, R, K):
     """:func:`solve_riccati_hewer`'s loop from the gains K on (k, ...) stacks
     of models and gains, all trials in lockstep until each converges or
     fails: (gains, status), the converged gains (NaN where a trial did not
@@ -476,7 +476,7 @@ def policy_iterations(A, B, Q, R, K, tol=1e-10, max_iter=500):
 
     F = A + B @ K
     keep = check(F)
-    for _ in range(max_iter):
+    for _ in range(RICCATI_MAX_ITER):
         if keep is not None:
             left, A, B, K, F = left[keep], A[keep], B[keep], K[keep], F[keep]
         if not len(left):
@@ -489,7 +489,7 @@ def policy_iterations(A, B, Q, R, K, tol=1e-10, max_iter=500):
         F = A + B @ K_next
         # the Frobenius norm of each change, as np.linalg.norm takes it
         change = (K_next - K).reshape(len(K), 1, -1)
-        done = np.sqrt(change @ change.swapaxes(-1, -2))[:, 0, 0] < tol
+        done = np.sqrt(change @ change.swapaxes(-1, -2))[:, 0, 0] < RICCATI_TOL
         keep = check(F)
         if keep is not None:
             done &= keep

@@ -9,7 +9,7 @@ detail).
 import numpy as np
 
 from . import direct, indirect
-from .controller import ConstantStep, ControllerSpec, Method
+from .controller import ConstantStep, ControllerSpec
 from .dataflow import DataRecord, batch_least_squares
 from .harness import ExperimentConfig, benchmark_plant, run_trial, trajectory_csv_text
 from .linalg import (
@@ -111,9 +111,7 @@ def _check_certificate(_rng):
 
 
 def _check_determinism(_rng):
-    spec = ControllerSpec(
-        method=Method.INDIRECT_NATURAL, stepsize_rule=ConstantStep(0.2)
-    )
+    spec = ControllerSpec("indirect_natural", ConstantStep(0.2))
     config = ExperimentConfig(controller=spec, t0=15, horizon=25, seed=7)
     a = trajectory_csv_text(run_trial(config, 0))
     b = trajectory_csv_text(run_trial(config, 0))

@@ -203,12 +203,12 @@ def gain_for_estimate(estimate, Q, R, rng, spread=0.3, radius=0.95):
     return sol.gain
 
 
-def record_from_arrays(U0, X0, X1, W0=None, reinvert_every=1000):
+def record_from_arrays(U0, X0, X1, W0=None):
     """Build a DataRecord by replaying column arrays through append."""
     U0 = np.atleast_2d(np.asarray(U0, dtype=float))
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     X1 = np.atleast_2d(np.asarray(X1, dtype=float))
-    rec = DataRecord(U0.shape[0], X0.shape[0], reinvert_every=reinvert_every)
+    rec = DataRecord(U0.shape[0], X0.shape[0])
     for j in range(U0.shape[1]):
         w = None if W0 is None else np.asarray(W0, dtype=float)[:, j]
         rec.append(U0[:, j], X0[:, j], X1[:, j], w)
@@ -319,7 +319,7 @@ def per_step_monitor_trial(config, trial_index):
         if np.linalg.norm(x) > config.divergence_threshold:
             status, reason = "halted", "diverged"
     return TrajectoryLog(
-        method=config.controller.method.value, trial_index=trial_index, status=status,
+        method=config.controller.method, trial_index=trial_index, status=status,
         halt_reason=reason, initial_gap=initial_gap,
         final_gap=rows[-1][2] if rows else initial_gap, rows=rows,
     )

@@ -381,10 +381,17 @@ def test_criterion_09_gradient_steps_are_cheaper_than_redesign():
             samples[name].append(timed_run(name, 11 + rep))
     med = {name: float(np.median(vals)) for name, vals in samples.items()}
 
+    def repetitions(samples, *names):
+        # every repetition's per-step time, so a flip on a loaded host shows
+        # whether one burst or a shift of the whole series caused it
+        return "; per-step times by repetition: " + "; ".join(
+            f"{name} [{', '.join(f'{v:.2e}' for v in samples[name])}]" for name in names)
+
     for name in ("indirect_vanilla", "indirect_natural",
                  "indirect_gauss_newton", "direct_vanilla"):
         assert med[name] < med["one_shot_ce"], (
-            f"{name} {med[name]:.2e}s vs one_shot {med['one_shot_ce']:.2e}s")
+            f"{name} {med[name]:.2e}s vs one_shot {med['one_shot_ce']:.2e}s"
+            + repetitions(samples, name, "one_shot_ce"))
 
     # On the 3-state benchmark the one-vs-two Lyapunov solve gap is ~15us,
     # below this host's per-step timing jitter, so compare natural and
@@ -420,10 +427,12 @@ def test_criterion_09_gradient_steps_are_cheaper_than_redesign():
             for name, vals in wide_samples.items()}
     assert wmed["indirect_natural"] <= wmed["indirect_vanilla"], (
         f"natural {wmed['indirect_natural']:.2e}s vs "
-        f"vanilla {wmed['indirect_vanilla']:.2e}s on the 12-state plant")
+        f"vanilla {wmed['indirect_vanilla']:.2e}s on the 12-state plant"
+        + repetitions(wide_samples, "indirect_natural", "indirect_vanilla"))
     assert wmed["indirect_gauss_newton"] <= wmed["indirect_vanilla"], (
         f"gauss_newton {wmed['indirect_gauss_newton']:.2e}s vs "
-        f"vanilla {wmed['indirect_vanilla']:.2e}s on the 12-state plant")
+        f"vanilla {wmed['indirect_vanilla']:.2e}s on the 12-state plant"
+        + repetitions(wide_samples, "indirect_gauss_newton", "indirect_vanilla"))
 
     # per-update work in Lyapunov solves: gradient steps use a fixed small
     # budget, a full redesign does strictly more

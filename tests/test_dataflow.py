@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pgac.dataflow
 from oracles import (
     record_from_arrays,
     OuterFormRecord,
@@ -109,10 +110,11 @@ def test_rls_matches_batch_recomputation():
         x = x_next
 
 
-def test_rls_survives_reinversion_boundary():
+def test_rls_survives_reinversion_boundary(monkeypatch):
+    monkeypatch.setattr(pgac.dataflow, "REINVERT_EVERY", 16)
     plant = stable_plant()
     rng = np.random.default_rng(13)
-    rec = DataRecord(3, 3, reinvert_every=16)
+    rec = DataRecord(3, 3)
     x = np.zeros(3)
     est = None
     for k in range(60):
@@ -225,10 +227,11 @@ def test_stacked_snr_readings_equal_per_record():
     assert snr_reading(records[3]).snr == np.inf
 
 
-def test_appends_replace_record_arrays_and_never_mutate_them():
+def test_appends_replace_record_arrays_and_never_mutate_them(monkeypatch):
     plant = benchmark_plant()
     U0, X0, X1, W0 = simulate_columns(plant, np.random.default_rng(8), 40)
-    rec = DataRecord(3, 3, reinvert_every=5)  # crosses several dense re-inversions
+    monkeypatch.setattr(pgac.dataflow, "REINVERT_EVERY", 5)  # several dense re-inversions
+    rec = DataRecord(3, 3)
     kept = []
     for j in range(40):
         # the noise log lapses for a few steps: the other branch of wbar's update
@@ -255,7 +258,7 @@ def test_fused_moment_update_equals_outer_form(noise_log):
     # copied, and the copies go on from there
     m, n, steps = 2, 3, 1300
     rng = np.random.default_rng(31)
-    rec, ref = DataRecord(m, n, reinvert_every=1000), OuterFormRecord(m, n, 1000)
+    rec, ref = DataRecord(m, n), OuterFormRecord(m, n, pgac.dataflow.REINVERT_EVERY)
     est = ref_est = None
     for k in range(steps):
         u, x, x_next, w = (rng.standard_normal(size) for size in (m, n, n, n))
@@ -305,13 +308,14 @@ def test_refused_append_leaves_the_record_as_it_was():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_stacked_record_equals_single_records():
+def test_stacked_record_equals_single_records(monkeypatch):
     # five trials stepped together across dense re-inversions, then split,
     # rejoined and refused a sample that overflows two of them
     m, n, k = 2, 3, 5
     rng = np.random.default_rng(43)
-    single = [DataRecord(m, n, reinvert_every=7) for _ in range(k)]
-    stacked = DataRecord(m, n, reinvert_every=7, trials=k)
+    monkeypatch.setattr(pgac.dataflow, "REINVERT_EVERY", 7)
+    single = [DataRecord(m, n) for _ in range(k)]
+    stacked = DataRecord(m, n, trials=k)
     for step in range(30):
         u, x, x_next, w = (rng.standard_normal((k, size)) for size in (m, n, n, n))
         stacked.append(u, x, x_next, w)

@@ -143,6 +143,32 @@ def test_integer_fields_and_jobs_refuse_floats_and_bools():
             == [trajectory_csv_text(log) for log in run_monte_carlo(cfg).logs])
 
 
+def test_real_fields_refuse_bools_strings_and_none():
+    # a string stopped with a bare TypeError; a bool ran as 0 or 1
+    spec = ControllerSpec("indirect_vanilla", ConstantStep(0.1))
+    for name in ("sigma_w", "sigma_u_offline", "divergence_threshold"):
+        for value in (True, np.True_, "1", None):
+            with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
+                ExperimentConfig(controller=spec, **{name: value})
+    for value in (True, np.True_, "0.5", None):
+        for build, name in ((ConstantStep, "eta"), (InverseNormM, "InverseNormM coeff"),
+                            (InverseSqrtLambda, "lambda0"),
+                            (lambda v: ControllerSpec("one_shot_ce", probe_std=v), "probe_std")):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+                build(value)
+    # any real type is taken as it is, and gives the same bytes
+    typed = small_config(
+        controller=ControllerSpec("indirect_vanilla", ConstantStep(np.float64(0.1)),
+                                  InverseSqrtLambda(np.int64(1)), probe_std=np.float32(1.0)),
+        sigma_w=np.float32(1.0), sigma_u_offline=1, divergence_threshold=np.int64(10**6),
+        trials=2, horizon=20)
+    plain = small_config(
+        controller=ControllerSpec("indirect_vanilla", ConstantStep(0.1), InverseSqrtLambda(1.0)),
+        sigma_w=1.0, sigma_u_offline=1.0, divergence_threshold=1e6, trials=2, horizon=20)
+    assert ([trajectory_csv_text(log) for log in run_monte_carlo(typed).logs]
+            == [trajectory_csv_text(log) for log in run_monte_carlo(plain).logs])
+
+
 def test_noiseless_trial_pins_the_optimum():
     plant = benchmark_plant()
     K_star, _ = optimal_gain(plant)
@@ -949,3 +975,24 @@ def test_overflowing_inputs_halt_every_trial(tmp_path, capfd, case):
         assert captured.err == ""
         assert len(read_trajectory_csv(out / f"{summary.method}_trial001.csv")) == len(
             summary.logs[1].rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inverse_norm_m_skips_a_non_finite_scaling_matrix(tmp_path, capfd):
+    # Trial 0 starts non-stabilizing and skips every step until it halts;
+    # before that, M = Ubar Pi Ubar' overflows while the moments are still
+    # finite.  Its stepsize is NaN without an SVD: LAPACK, handed a
+    # non-finite matrix, prints its complaint to stdout.
+    path = tmp_path / "inverse_norm_m.cfg"
+    path.write_text("method = direct_vanilla\neta_rule = inverse_norm_m\neta_coeff = 0.2\n"
+                    "T = 300\ntrials = 2\nseed = 1\ndivergence_threshold = inf\n")
+    for jobs in (1, 2):
+        out = tmp_path / f"out{jobs}"
+        assert cli.main(["run", "--config", str(path), "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+        captured = capfd.readouterr()
+        assert captured.out == (out / "summary.csv").read_text()
+        assert captured.err == ""
+        log = run_monte_carlo(load_config(str(path)), jobs=jobs).logs[0]
+        assert log.status == "halted"
+        assert log.halt_reason.startswith("diverged: ") and "non-finite" in log.halt_reason

@@ -431,13 +431,14 @@ def test_riccati_memoryless_plant_is_exact():
     assert sol.residual == 0.0
 
 
-def test_riccati_error_paths():
+def test_riccati_error_paths(monkeypatch):
     plant = benchmark_plant()
     with pytest.raises(NotStabilizing):
         solve_riccati_hewer(plant.A, plant.B, plant.Q, plant.R, K0=np.zeros((3, 3)))
     K_star, _ = optimal_gain(plant)
+    monkeypatch.setattr(pgac.linalg, "RICCATI_MAX_ITER", 1)
     with pytest.raises(NoConvergence):
-        solve_riccati_hewer(plant.A, plant.B, plant.Q, plant.R, K0=0.8 * K_star, max_iter=1)
+        solve_riccati_hewer(plant.A, plant.B, plant.Q, plant.R, K0=0.8 * K_star)
 
 
 def test_riccati_matches_value_iteration():
