@@ -33,7 +33,7 @@ def build_parser():
     run_p.add_argument("--trials", type=int, default=None, help="override trial count")
     run_p.add_argument("--seed", type=int, default=None, help="override base seed")
     run_p.add_argument("--method", default=None, help="override the update method")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+    run_p.add_argument("--jobs", type=int, default=1, help="processes, one lockstep group per task")
     run_p.add_argument(
         "--timing",
         action="store_true",
@@ -45,7 +45,7 @@ def build_parser():
     cmp_p = sub.add_parser("compare", help="run several configs, print a joint table")
     cmp_p.add_argument("--configs", nargs="+", required=True, help="config file paths")
     cmp_p.add_argument("--out", default=None, help="optional path for the joint CSV")
-    cmp_p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+    cmp_p.add_argument("--jobs", type=int, default=1, help="processes, one lockstep group per task")
     cmp_p.add_argument("--timing", action="store_true", help="measure per-step wall time")
     cmp_p.set_defaults(func=cmd_compare)
 

@@ -232,8 +232,8 @@ def trial_rng(seed, trial_index, stream):
 def _kron_batch(n):
     # Systems per stacked Lyapunov solve: their n^2 x n^2 Kronecker systems
     # take at most 256 KiB, or one system where a single one is larger
-    # (n >= 14); it is one system at a time from n = 12.  It caps both the
-    # monitor's calls and the trials that step in lockstep.
+    # (n >= 14); one at a time from n = 12.  It caps both the monitor's calls
+    # and the trials that step in lockstep: a pool's unit of work too.
     return max(1, 2**18 // (8 * n**4))
 
 
@@ -522,30 +522,29 @@ def check_run(config, jobs):
 def run_monte_carlo(config, jobs=1):
     """Run all trials of a config and aggregate.
 
-    One process steps the trials in lockstep (:func:`run_trials`), in groups
-    of at most _kron_batch(n) trials: all of them on small plants, one at a
-    time from n = 12, where a stacked Kronecker solve costs more than it
-    saves.  ``jobs`` > 1 instead distributes trials, one per task, over at
-    most ``jobs`` processes, and never more processes than trials or than
-    CPUs this process may run on.  Either way, results are collected in
-    trial order and every log is bitwise that of its trial run alone, so
-    output is byte-identical for any ``jobs``.  The optimum is solved once,
-    before the pool starts, and sent to the workers with the config.
-    ``jobs`` < 1, or not an integer, raises ``ConfigError``.
+    Trials step in lockstep (:func:`run_trials`) in groups of at most
+    _kron_batch(n) consecutive trials (all on small plants, one from n = 12),
+    and a group is the pool's unit of work: at most ``jobs`` processes, and
+    never more than groups or usable CPUs, run them; with one, they run in
+    this process, so a run whose trials fit one group never forks.  Results
+    are collected in trial order and every log is bitwise that of its trial
+    run alone, so output is byte-identical for any ``jobs``.  The optimum is
+    solved once, before the pool starts, and sent to the workers with the
+    config.  ``jobs`` < 1, or not an integer, raises ``ConfigError``.
     """
     plant, _ = check_run(config, jobs)
-    n = config.trials
-    workers = min(jobs, n, _usable_cpus())
+    n, size = config.trials, _kron_batch(plant.n)
+    groups = [range(first, min(first + size, n)) for first in range(0, n, size)]
+    workers = min(jobs, len(groups), _usable_cpus())
     if workers > 1:
         # imported here, so that serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            logs = list(pool.map(run_trial, itertools.repeat(config, n), range(n)))
+            batches = list(pool.map(run_trials, itertools.repeat(config), groups))
     else:
-        group = _kron_batch(plant.n)
-        logs = [log for first in range(0, n, group)
-                for log in run_trials(config, range(first, min(first + group, n)))]
+        batches = [run_trials(config, group) for group in groups]
+    logs = [log for batch in batches for log in batch]
     converged = [lg for lg in logs if lg.status != "halted"]
     rate = len(converged) / len(logs)
     median_gap = (

@@ -11,6 +11,7 @@ import pytest
 from oracles import per_step_monitor_trial
 
 import pgac
+import pgac.controller
 import pgac.harness
 import pgac.plant
 from pgac import (
@@ -785,6 +786,16 @@ def test_pool_never_outnumbers_trials(monkeypatch):
     # run_monte_carlo imports the pool from its module when it starts one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     spec = ControllerSpec("direct_vanilla", InverseNormM(0.2))
+    # at n = 3 three trials fit one lockstep group: no pool starts, whatever
+    # jobs asks, even where eight CPUs are usable
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    cfg = small_config(controller=spec, trials=3, horizon=15)
+    one_group = [trajectory_csv_text(lg) for lg in run_trials(cfg, range(3))]
+    assert [trajectory_csv_text(lg) for lg in run_monte_carlo(cfg, jobs=8).logs] == one_group
+    assert sizes == []
+    # groups of one trial each, so that every trial is a task.  Groups are
+    # formed in the parent, so the patch holds under any start method.
+    monkeypatch.setattr(pgac.harness, "_kron_batch", lambda n: 1)
     # (usable CPUs, trials, jobs, pool sizes started).  The usable CPUs are
     # the affinity mask's; the machine's count, which may be None, only
     # stands in where the mask cannot be read.
@@ -805,8 +816,48 @@ def test_pool_never_outnumbers_trials(monkeypatch):
             cfg = small_config(controller=spec, trials=trials, horizon=15)
             texts = [trajectory_csv_text(lg) for lg in run_monte_carlo(cfg, jobs=jobs).logs]
             assert sizes == pool
-            serial = run_monte_carlo(small_config(controller=spec, trials=trials, horizon=15))
-            assert texts == [trajectory_csv_text(lg) for lg in serial.logs]
+            assert texts == [trajectory_csv_text(lg) for lg in run_trials(cfg, range(trials))]
+
+
+# Every row of METHODS with a rule it accepts, and one regularized arm
+POOL_ARMS = {
+    "indirect_vanilla": ControllerSpec("indirect_vanilla", ConstantStep(0.2)),
+    "indirect_natural": ControllerSpec("indirect_natural", ConstantStep(0.2)),
+    "indirect_gauss_newton": ControllerSpec("indirect_gauss_newton", ConstantStep(0.5)),
+    "adaptive_hewer": ControllerSpec("adaptive_hewer"),
+    "direct_vanilla": ControllerSpec("direct_vanilla", InverseNormM(0.2)),
+    "direct_natural": ControllerSpec("direct_natural", ConstantStep(0.2)),
+    "one_shot_ce": ControllerSpec("one_shot_ce"),
+    "regularized": ControllerSpec("indirect_vanilla", ConstantStep(0.2), InverseSqrtLambda(0.1)),
+}
+
+
+def test_a_pool_of_one_trial_groups_writes_the_lockstep_bytes(monkeypatch):
+    assert set(POOL_ARMS) - {"regularized"} == set(pgac.controller.METHODS)
+    runs = {}
+    for name, spec in POOL_ARMS.items():
+        cfg = small_config(controller=spec, trials=3, horizon=40, seed=5)
+        runs[name] = [run_monte_carlo(cfg, jobs=1)]  # one lockstep group, in-process
+    # one-trial groups and two usable CPUs: a real pool of two runs every arm
+    started = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    class StartedPool(real_pool):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StartedPool)
+    monkeypatch.setattr(pgac.harness, "_kron_batch", lambda n: 1)
+    monkeypatch.setattr(pgac.harness, "_usable_cpus", lambda: 2)
+    for name, spec in POOL_ARMS.items():
+        cfg = small_config(controller=spec, trials=3, horizon=40, seed=5)
+        runs[name].append(run_monte_carlo(cfg, jobs=2))
+    assert started == [2] * len(POOL_ARMS)
+    for name, (serial, pooled) in runs.items():
+        assert summary_csv_text(pooled) == summary_csv_text(serial), name
+        assert ([trajectory_csv_text(lg) for lg in pooled.logs]
+                == [trajectory_csv_text(lg) for lg in serial.logs]), name
 
 
 def test_cli_unwritable_output_exits_3(tmp_path):
@@ -905,6 +956,10 @@ loaded["serial run"] = [m for m in POOL if m in sys.modules]
 assert cli.main(["selftest"]) == 0
 loaded["selftest"] = [m for m in POOL if m in sys.modules]
 assert cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2], "--jobs", "2"]) == 0
+loaded["one group"] = [m for m in POOL if m in sys.modules]
+# groups of one trial each: two groups, so --jobs 2 may start a pool
+harness._kron_batch = lambda n: 1
+assert cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[3], "--jobs", "2"]) == 0
 loaded["pool"] = [m for m in POOL if m in sys.modules]
 loaded["cpus"] = harness._usable_cpus()
 print(json.dumps(loaded))
@@ -918,19 +973,24 @@ def test_only_a_pool_run_loads_multiprocessing(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _POOL_MODULES_SCRIPT, str(cfg), str(tmp_path / "pool")],
+        [sys.executable, "-c", _POOL_MODULES_SCRIPT, str(cfg), str(tmp_path / "one_group"),
+         str(tmp_path / "pool")],
         capture_output=True, text=True, cwd=str(tmp_path), env=env)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
+    # two trials at n = 3 are one lockstep group: --jobs 2 runs it in-process
     assert loaded["import"] == loaded["serial run"] == loaded["selftest"] == []
-    # --jobs 2 starts a pool where two CPUs are usable, and runs in-process where one is
+    assert loaded["one group"] == []
+    # two one-trial groups start a pool where two CPUs are usable, and run
+    # in-process where one is
     assert loaded["pool"] == (["multiprocessing", "concurrent.futures.process"]
                               if loaded["cpus"] > 1 else [])
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "serial")]) == 0
     names = sorted(p.name for p in (tmp_path / "serial").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "pool").iterdir())
-    for name in names:
-        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+    for run in ("one_group", "pool"):
+        assert names == sorted(p.name for p in (tmp_path / run).iterdir())
+        for name in names:
+            assert (tmp_path / run / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 # Finite inputs whose samples overflow the data moments; each trial must halt
@@ -954,11 +1014,14 @@ OVERFLOW_CASES = {
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
-def test_overflowing_inputs_halt_every_trial(tmp_path, capfd, case):
+def test_overflowing_inputs_halt_every_trial(tmp_path, capfd, monkeypatch, case):
     text, prefix = OVERFLOW_CASES[case]
     path = tmp_path / "overflow.cfg"
     path.write_text(text)
     for jobs in (1, 2):
+        if jobs == 2:
+            # one-trial groups: the two trials run in a pool where two CPUs are usable
+            monkeypatch.setattr(pgac.harness, "_kron_batch", lambda n: 1)
         summary = run_monte_carlo(load_config(str(path)), jobs=jobs)
         assert summary.convergence_rate == 0.0
         for log in summary.logs:
@@ -978,7 +1041,7 @@ def test_overflowing_inputs_halt_every_trial(tmp_path, capfd, case):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_inverse_norm_m_skips_a_non_finite_scaling_matrix(tmp_path, capfd):
+def test_inverse_norm_m_skips_a_non_finite_scaling_matrix(tmp_path, capfd, monkeypatch):
     # Trial 0 starts non-stabilizing and skips every step until it halts;
     # before that, M = Ubar Pi Ubar' overflows while the moments are still
     # finite.  Its stepsize is NaN without an SVD: LAPACK, handed a
@@ -987,6 +1050,9 @@ def test_inverse_norm_m_skips_a_non_finite_scaling_matrix(tmp_path, capfd):
     path.write_text("method = direct_vanilla\neta_rule = inverse_norm_m\neta_coeff = 0.2\n"
                     "T = 300\ntrials = 2\nseed = 1\ndivergence_threshold = inf\n")
     for jobs in (1, 2):
+        if jobs == 2:
+            # one-trial groups: the two trials run in a pool where two CPUs are usable
+            monkeypatch.setattr(pgac.harness, "_kron_batch", lambda n: 1)
         out = tmp_path / f"out{jobs}"
         assert cli.main(["run", "--config", str(path), "--out", str(out),
                          "--jobs", str(jobs)]) == 0
