@@ -31,7 +31,7 @@ from . import direct as direct_engine
 from . import indirect as indirect_engine
 # rls_update is bound here only so that perfbench's tracer can wrap it by
 # this name; no pgac code calls it here.
-from .dataflow import DataRecord, ModelEstimate, batch_least_squares, rls_update  # noqa: F401
+from .dataflow import ModelEstimate, batch_least_squares, rls_update  # noqa: F401
 from .errors import (
     InitialGainUnstable,
     NegativeLambda,
@@ -45,6 +45,7 @@ from .linalg import (
     each_slice,
     nested_mask,
     policy_iterations,
+    riccati_gains,
     select_slices,
     solve_riccati_hewer,
 )
@@ -148,7 +149,7 @@ def _gauss_newton(est, Q, R, K, eta, phi_inv, lam, precondition):
 def _one_shot(est, Q, R, K, eta, phi_inv, lam, precondition):
     # Warm start from the current gain; when it, or an iterate it leads to,
     # fails to stabilize the estimate, start over from scratch.  A stack of
-    # trials runs in lockstep, each trial restarting alone where needed.
+    # trials runs in lockstep, its restarts too.
     A, B = est.Ahat, est.Bhat
     if K.ndim == 2:
         try:
@@ -156,11 +157,9 @@ def _one_shot(est, Q, R, K, eta, phi_inv, lam, precondition):
         except NotStabilizing:
             return solve_riccati_hewer(A, B, Q, R).gain, None
     gains, status = policy_iterations(A, B, Q, R, K)
-    for i in np.flatnonzero(status == NOT_STABILIZING):
-        try:
-            gains[i] = solve_riccati_hewer(A[i], B[i], Q, R).gain
-        except (NotStabilizing, NoConvergence, np.linalg.LinAlgError):
-            pass
+    restart = status == NOT_STABILIZING
+    if restart.any():
+        gains[restart] = riccati_gains(A[restart], B[restart], Q, R)
     return gains, None
 
 
@@ -230,10 +229,10 @@ class ControllerState:
 
     ``last_eta`` / ``last_lambda`` / ``last_skipped`` describe the most
     recent advance.  A state of one trial holds an (m, n) gain and scalars;
-    :meth:`stack` joins such states into one that steps their trials in
-    lockstep, with a (k, m, n) gain, a stacked record and per-trial
-    ``last_eta`` and ``last_skipped`` arrays.  Halting is the supervising
-    loop's job.
+    a state of a stacked record steps its trials in lockstep, with a
+    (k, m, n) gain and, after an advance, per-trial ``last_skipped`` and
+    (for a stepsize that depends on the record) ``last_eta`` arrays.
+    Halting is the supervising loop's job.
     """
 
     spec: ControllerSpec
@@ -246,21 +245,12 @@ class ControllerState:
     last_lambda: float = 0.0
     last_skipped: object = False
 
-    @classmethod
-    def stack(cls, states):
-        """One state stepping the trials of single-trial states together."""
-        first, k = states[0], len(states)
-        return cls(spec=first.spec, Q=first.Q, R=first.R,
-                   gain=np.stack([state.gain for state in states]),
-                   record=DataRecord.stack([state.record for state in states]), t0=first.t0,
-                   last_eta=np.full(k, math.nan), last_skipped=np.zeros(k, dtype=bool))
-
     def take(self, trials):
         """The state of the selected trials of a stacked state: ``trials`` is
         a boolean mask or index array, or an integer i for the single-trial
         state of trial i."""
-        last_eta = self.last_eta if np.ndim(self.last_eta) == 0 else self.last_eta[trials]
-        last_skipped = self.last_skipped[trials]
+        last_eta, last_skipped = (v if np.ndim(v) == 0 else v[trials]
+                                  for v in (self.last_eta, self.last_skipped))
         if np.ndim(trials) == 0:
             last_eta, last_skipped = float(last_eta), bool(last_skipped)
         return dataclasses.replace(self, gain=self.gain[trials], record=self.record.take(trials),
@@ -268,32 +258,33 @@ class ControllerState:
 
 
 def initialize(spec, Q, R, offline_record, K_init=None):
-    """Set up a controller from an offline record.
+    """Set up a controller from an offline record, of one trial or stacked.
 
     The record is snapshotted and must be persistently exciting (else
     ``NotPersistentlyExciting`` propagates from the batch solve).  Unless
-    ``K_init`` is supplied, the initial gain is the certainty-equivalence
-    Riccati gain of the batch least-squares estimate; failure to produce a
-    stabilizing gain for that estimate raises ``InitialGainUnstable``.
+    ``K_init`` is supplied (an (m, n) gain that every trial starts from), the
+    initial gain is the certainty-equivalence Riccati gain of the batch
+    least-squares estimate; failure to produce a stabilizing gain for that
+    estimate raises ``InitialGainUnstable``.  Either error's ``trials``
+    marks the trials at fault of a stacked record.
     """
     Q = np.array(Q, dtype=float)
     R = np.array(R, dtype=float)
     record = offline_record.copy()
     estimate = batch_least_squares(record)
+    m, n, lead = record.m, record.n, record.xbar1.shape[:-2]
     if K_init is None:
-        try:
-            sol = solve_riccati_hewer(estimate.Ahat, estimate.Bhat, Q, R)
-        except (NotStabilizing, NoConvergence, np.linalg.LinAlgError) as exc:
-            raise InitialGainUnstable(
-                f"certainty-equivalence initialization failed: {exc}"
-            ) from exc
-        gain = sol.gain
+        gain = riccati_gains(estimate.Ahat.reshape(-1, n, n), estimate.Bhat.reshape(-1, n, m),
+                             Q, R).reshape(lead + (m, n))
+        failed = np.isnan(gain).any(axis=(-2, -1))
+        if failed.any():
+            raise InitialGainUnstable("certainty-equivalence initialization failed",
+                                      trials=failed)
     else:
         gain = np.array(K_init, dtype=float)
-        if gain.shape != (record.m, record.n):
-            raise ValueError(
-                f"K_init must have shape ({record.m}, {record.n}), got {gain.shape}"
-            )
+        if gain.shape != (m, n):
+            raise ValueError(f"K_init must have shape ({m}, {n}), got {gain.shape}")
+        gain = np.broadcast_to(gain, lead + (m, n)).copy()
     return ControllerState(spec=spec, Q=Q, R=R, gain=gain, record=record, t0=record.t)
 
 

@@ -108,18 +108,6 @@ class DataRecord:
         other._sync()
         return other
 
-    @classmethod
-    def stack(cls, records):
-        """One stacked record of single records holding the same number of
-        samples."""
-        other = records[0].copy()
-        other._moments = np.stack([rec._moments for rec in records])
-        other._phi_inv = np.stack([rec._phi_inv for rec in records])
-        other._inverted = np.concatenate([rec._inverted for rec in records])
-        other._inverted_at = np.concatenate([rec._inverted_at for rec in records])
-        other._sync()
-        return other
-
     # -- mutation -------------------------------------------------------------
 
     def append(self, u, x, x_next, w=None):
@@ -275,14 +263,14 @@ class DataRecord:
     def phi_inv(self):
         """Inverse sample covariance, rank-one maintained.
 
-        Raises ``NotPersistentlyExciting`` while Phi is singular (for some
-        trial of a stacked record).
+        Raises ``NotPersistentlyExciting`` while Phi is singular, on a
+        stacked record for some trials, which its ``trials`` marks.
         """
         phi_inv, inverted = self.inverse()
         if inverted is not None:
             raise NotPersistentlyExciting(
-                f"sample covariance is singular for some trials after t={self.t} samples"
-            )
+                f"sample covariance is singular after t={self.t} samples "
+                f"(need at least {self.m + self.n})", trials=~inverted)
         return phi_inv
 
     def __repr__(self):

@@ -6,7 +6,12 @@ catch domain failures without swallowing programming errors.
 
 
 class PgacError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``trials`` marks
+    the trials at fault when the error concerns some trials of a stack."""
+
+    def __init__(self, message, trials=None):
+        super().__init__(message)
+        self.trials = trials
 
 
 class DimensionMismatch(PgacError):
@@ -50,14 +55,7 @@ class NotPersistentlyExciting(PgacError):
 
 
 class NonFiniteData(PgacError):
-    """A sample would make the data moments non-finite (overflow).
-
-    ``trials`` marks the trials at fault when the record steps several.
-    """
-
-    def __init__(self, message, trials=None):
-        super().__init__(message)
-        self.trials = trials
+    """A sample would make the data moments non-finite (overflow)."""
 
 
 class OracleUnavailable(PgacError):

@@ -25,7 +25,6 @@ import numpy as np
 from .controller import (
     ConstantStep,
     ControllerSpec,
-    ControllerState,
     InverseNormM,
     InverseSqrtLambda,
     ZeroLambda,
@@ -364,10 +363,12 @@ def run_trials(config, trial_indices):
     invalid-value warnings are silenced for the run.
 
     The trials step together on arrays with a leading trial axis: one draw
-    per block of DRAW_BLOCK steps from each generator, then one stacked
-    simulation step and one :func:`advance` per step for all running trials.
-    A lone trial, or the last one left running, steps as a single-trial
-    state on arrays without the trial axis, where numpy's calls cost less.
+    per block of DRAW_BLOCK steps from each generator, one :func:`initialize`
+    of the stack (again on the rest when it names trials that fail), then
+    one stacked simulation step and one :func:`advance` per step for all
+    running trials.  A lone trial, or the last one left running, steps
+    online as a single-trial state on arrays without the trial axis, where
+    numpy's calls cost less.
     A halted trial leaves the stack; a skipped one keeps its gain.  Every
     kernel acts on each trial alone, so each log is bitwise that of the
     trial run by itself.  Each step's row waits in one backlog: the loop's
@@ -400,8 +401,8 @@ def run_trials(config, trial_indices):
         running = running[~trials]
         return ~trials
 
-    # a lone trial steps on its own arrays, without the trial axis
-    lone = k == 1
+    # set when a lone trial goes online, on its own arrays without the trial axis
+    lone = False
 
     def draw(rngs, rows, cols):
         blocks = [rngs[p].standard_normal((rows, cols)) for p in running]
@@ -409,35 +410,34 @@ def run_trials(config, trial_indices):
 
     U = config.sigma_u_offline * draw(offline_rngs, config.t0, m)
     W = config.sigma_w * draw(noise_rngs, config.t0, n)
-    record = DataRecord(m, n, trials=None if lone else k)
-    x = np.zeros(n) if lone else np.zeros((k, n))
+    record = DataRecord(m, n, trials=k)
+    x = np.zeros((k, n))
     for j in range(config.t0):
-        x_next, _ = step(plant, x, U[..., j, :], W[..., j, :])
+        x_next, _ = step(plant, x, U[:, j], W[:, j])
         try:
-            record.append(U[..., j, :], x, x_next, W[..., j, :])
+            record.append(U[:, j], x, x_next, W[:, j])
         except NonFiniteData as exc:
             keep = halt(exc.trials, f"initialization: {exc}")
-            if lone or not len(running):
+            if not len(running):
                 break
             record, x, x_next, U, W = record.take(keep), x[keep], x_next[keep], U[keep], W[keep]
-            record.append(U[..., j, :], x, x_next, W[..., j, :])
+            record.append(U[:, j], x, x_next, W[:, j])
         x = x_next
-
-    states, offline = [], running
-    for j, p in enumerate(offline):
+    while len(running):
         try:
-            states.append(initialize(config.controller, plant.Q, plant.R,
-                                     record if lone else record.take(j),
-                                     K_init=config.initial_gain))
+            state = initialize(config.controller, plant.Q, plant.R, record,
+                               K_init=config.initial_gain)
+            break
         except (InitialGainUnstable, NotPersistentlyExciting) as exc:
-            halt(running == p, f"initialization: {exc}")
+            keep = halt(exc.trials, f"initialization: {exc}")
+            record, x = record.take(keep), x[keep]
     initial_cost = np.full(k, math.inf)
-    if not states:
+    if not len(running):
         return columns.logs(config.controller.method, trial_indices, outcomes,
                             initial_cost, cstar)
-    x, lone = x.reshape(-1, n)[np.isin(offline, running)], len(states) == 1
-    state, x = (states[0], x[0]) if lone else (ControllerState.stack(states), x)
-    initial_cost[running] = _true_costs(plant, state.gain.reshape(-1, m, n))
+    initial_cost[running] = _true_costs(plant, state.gain)
+    if len(running) == 1:
+        lone, state, x = True, state.take(0), x[0]
 
     threshold = config.divergence_threshold
     batch = _monitor_rows(m, n)

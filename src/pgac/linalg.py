@@ -498,3 +498,19 @@ def policy_iterations(A, B, Q, R, K):
             keep = ~done if keep is None else keep & ~done
         K = K_next
     return gains, status
+
+
+def riccati_gains(A, B, Q, R):
+    """:func:`solve_riccati_hewer`'s gains for (k, ...) stacks of models, NaN
+    where a trial's solve fails: each trial's :func:`initial_stabilizing_gain`,
+    then :func:`policy_iterations` from these seeds in lockstep, so each gain
+    is bitwise that of its trial's own solve."""
+    gains = np.full(A.shape[:1] + B.shape[-1:] + A.shape[-1:], np.nan)
+    for i in range(len(A)):
+        try:
+            gains[i] = initial_stabilizing_gain(A[i], B[i], Q, R)
+        except (NotStabilizing, np.linalg.LinAlgError):
+            pass
+    seeded = ~np.isnan(gains).any(axis=(-2, -1))
+    gains[seeded], _ = policy_iterations(A[seeded], B[seeded], Q, R, gains[seeded])
+    return gains

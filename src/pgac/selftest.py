@@ -11,7 +11,7 @@ import numpy as np
 from . import direct, indirect
 from .controller import ConstantStep, ControllerSpec
 from .dataflow import DataRecord, batch_least_squares
-from .harness import ExperimentConfig, benchmark_plant, run_trial, trajectory_csv_text
+from .harness import ExperimentConfig, benchmark_plant, run_trial, run_trials, trajectory_csv_text
 from .linalg import (
     nullspace_projector,
     solve_dlyap_closed,
@@ -113,9 +113,10 @@ def _check_certificate(_rng):
 def _check_determinism(_rng):
     spec = ControllerSpec("indirect_natural", ConstantStep(0.2))
     config = ExperimentConfig(controller=spec, t0=15, horizon=25, seed=7)
-    a = trajectory_csv_text(run_trial(config, 0))
-    b = trajectory_csv_text(run_trial(config, 0))
-    return a == b, "trial replay is byte-identical"
+    alone = [trajectory_csv_text(run_trial(config, i)) for i in (0, 0, 1, 2)]
+    together = [trajectory_csv_text(log) for log in run_trials(config, range(3))]
+    ok = alone[0] == alone[1] and alone[1:] == together
+    return ok, "trial replay and lockstep trials are byte-identical to trials alone"
 
 
 _CHECKS = (

@@ -164,6 +164,74 @@ def test_initialize_unstabilizable_estimate():
         initialize(spec, np.eye(1), np.eye(1), rec)
 
 
+def test_initialize_stacked_record_names_failed_trials():
+    # four one-state trials of three samples: trial 1's Phi is singular, and
+    # trial 2's data come from x+ = 2x with the input decoupled exactly
+    # (Bhat = 0), as in test_initialize_unstabilizable_estimate
+    U0 = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.5, 2.0, -1.0]])
+    X0 = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 0.3]])
+    X1 = np.stack([0.5 * X0[0] + U0[0], X0[1], 2.0 * X0[2], 1.2 * X0[3] + 0.7 * U0[3]])
+    rec = DataRecord(1, 1, trials=4)
+    for j in range(3):
+        rec.append(U0[:, j, None], X0[:, j, None], X1[:, j, None])
+    spec = ControllerSpec("indirect_vanilla", ConstantStep(0.02))
+    Q, R, K_init = np.eye(1), np.eye(1), [[-0.4]]
+    for K in (None, K_init):
+        with pytest.raises(NotPersistentlyExciting) as singular:
+            initialize(spec, Q, R, rec, K_init=K)
+        assert singular.value.trials.tolist() == [False, True, False, False]
+    rest = rec.take(~singular.value.trials)
+    with pytest.raises(InitialGainUnstable) as unstable:
+        initialize(spec, Q, R, rest)
+    assert unstable.value.trials.tolist() == [False, True, False]
+    good = rest.take(~unstable.value.trials)
+    state = initialize(spec, Q, R, good)
+    shared = initialize(spec, Q, R, good, K_init=K_init)
+    assert np.array_equal(shared.gain, np.full((2, 1, 1), -0.4))
+    assert good.t == state.record.t == 3 and state.t0 == 3
+    for i in range(2):
+        alone = initialize(spec, Q, R, good.take(i))
+        est = batch_least_squares(good.take(i))
+        assert np.array_equal(alone.gain, solve_riccati_hewer(est.Ahat, est.Bhat, Q, R).gain)
+        assert np.array_equal(state.gain[i], alone.gain)
+        assert np.array_equal(state.record.inverse()[0][i], alone.record.inverse()[0])
+        for name in ("phi", "xbar1", "wbar"):
+            assert np.array_equal(getattr(state.record, name)[i], getattr(alone.record, name))
+        assert np.array_equal(shared.gain[i],
+                              initialize(spec, Q, R, good.take(i), K_init=K_init).gain)
+
+
+def test_stacked_one_shot_restart_equals_the_trial_alone(monkeypatch):
+    # three benchmark trials stepped together; trial 1's warm start, the
+    # positive feedback K = I, does not stabilize its estimate, so its design
+    # starts over from scratch, as the trial's alone does
+    plant = benchmark_plant()
+    rng = np.random.default_rng(17)
+    k = 3
+    rec = DataRecord(3, 3, trials=k)
+    x = np.zeros((k, 3))
+    for _ in range(40):
+        u, w = rng.standard_normal((2, k, 3))
+        x_next = x @ plant.A.T + u @ plant.B.T + w
+        rec.append(u, x, x_next, w)
+        x = x_next
+    state = initialize(ControllerSpec("one_shot_ce"), plant.Q, plant.R, rec)
+    state.gain[1] = np.eye(3)
+    alone = [state.take(i) for i in range(k)]
+    restarts = []
+    gains = pgac.controller.riccati_gains
+    monkeypatch.setattr(pgac.controller, "riccati_gains",
+                        lambda A, *args: restarts.append(len(A)) or gains(A, *args))
+    u, w = rng.standard_normal((2, k, 3))
+    x_next = x @ plant.A.T + u @ plant.B.T + w
+    advance(state, x, u, x_next, w)
+    assert restarts == [1] and not state.last_skipped.any()
+    for i, single in enumerate(alone):
+        advance(single, x[i], u[i], x_next[i], w[i])
+        assert not single.last_skipped
+        assert np.array_equal(state.gain[i], single.gain)
+
+
 def test_lambda_value_schedule():
     spec = ControllerSpec("indirect_vanilla", ConstantStep(0.02),
                           lambda_rule=InverseSqrtLambda(0.1))

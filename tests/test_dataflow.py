@@ -309,8 +309,8 @@ def test_refused_append_leaves_the_record_as_it_was():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_stacked_record_equals_single_records(monkeypatch):
-    # five trials stepped together across dense re-inversions, then split,
-    # rejoined and refused a sample that overflows two of them
+    # five trials stepped together across dense re-inversions, then split
+    # and refused a sample that overflows two of them
     m, n, k = 2, 3, 5
     rng = np.random.default_rng(43)
     monkeypatch.setattr(pgac.dataflow, "REINVERT_EVERY", 7)
@@ -331,9 +331,10 @@ def test_stacked_record_equals_single_records(monkeypatch):
                        for i, rec in enumerate(single))
     assert np.array_equal(stacked._updates_since_inversion,
                           [rec._updates_since_inversion[0] for rec in single])
-    rejoined = DataRecord.stack([stacked.take(i) for i in (4, 0, 2)])
-    assert np.array_equal(rejoined.phi_inv, stacked.take(np.array([4, 0, 2])).phi_inv)
-    assert np.array_equal(rejoined.wbar, stacked.wbar[[4, 0, 2]])
+    taken = stacked.take(np.array([4, 0, 2]))
+    assert np.array_equal(taken.phi_inv, np.stack([single[i].phi_inv for i in (4, 0, 2)]))
+    assert np.array_equal(taken.wbar, stacked.wbar[[4, 0, 2]])
+    assert np.array_equal(stacked.take(4).phi_inv, single[4].phi_inv)
     before = stacked._moments.copy()
     u = np.ones((k, m))
     u[[1, 3]] = 1e200
