@@ -45,7 +45,6 @@ from .linalg import (
     each_slice,
     nested_mask,
     policy_iterations,
-    riccati_gains,
     select_slices,
     solve_riccati_hewer,
 )
@@ -159,7 +158,7 @@ def _one_shot(est, Q, R, K, eta, phi_inv, lam, precondition):
     gains, status = policy_iterations(A, B, Q, R, K)
     restart = status == NOT_STABILIZING
     if restart.any():
-        gains[restart] = riccati_gains(A[restart], B[restart], Q, R)
+        gains[restart], _ = policy_iterations(A[restart], B[restart], Q, R)
     return gains, None
 
 
@@ -274,8 +273,9 @@ def initialize(spec, Q, R, offline_record, K_init=None):
     estimate = batch_least_squares(record)
     m, n, lead = record.m, record.n, record.xbar1.shape[:-2]
     if K_init is None:
-        gain = riccati_gains(estimate.Ahat.reshape(-1, n, n), estimate.Bhat.reshape(-1, n, m),
-                             Q, R).reshape(lead + (m, n))
+        gain, _ = policy_iterations(estimate.Ahat.reshape(-1, n, n),
+                                    estimate.Bhat.reshape(-1, n, m), Q, R)
+        gain = gain.reshape(lead + (m, n))
         failed = np.isnan(gain).any(axis=(-2, -1))
         if failed.any():
             raise InitialGainUnstable("certainty-equivalence initialization failed",

@@ -11,6 +11,8 @@ per-update flop profiles of the gradient engines can be asserted in tests; see
 :func:`lyapunov_solve_count`.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import NonSymmetric, NoConvergence, NotPD, NotStable, NotStabilizing
@@ -293,28 +295,41 @@ def initial_stabilizing_gain(A, B, Q, R):
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    n, m = B.shape
-    if is_stabilizing(A):
-        return np.zeros((m, n))
-    P = np.asarray(Q, dtype=float).copy()
-    K = np.zeros((m, n))
-    finite = True
-    # an unstabilizable mode can overflow P: stop at the first non-finite P
-    # rather than run on inf/NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(SEED_HORIZON):
-            K = _improved_gain(A, B, R, P)
-            F = A + B @ K
-            P_next = symmetrize(Q + K.T @ R @ K + F.T @ P @ F)
-            finite = np.isfinite(P_next).all()
-            if not finite or np.array_equal(P_next, P):
-                break
-            P = P_next
-    if not (finite and is_stabilizing(A + B @ K)):
+    K, stable = _seed_gains(A[None], B[None], Q, R)
+    if not (stable[0] or is_stabilizing(A + B @ K[0])):
         raise NotStabilizing(
             f"backward recursion over {SEED_HORIZON} steps did not stabilize (A, B)"
         )
-    return K
+    return K[0]
+
+
+def _seed_gains(A, B, Q, R):
+    # initial_stabilizing_gain's recursion, unchecked, for (k, ...) stacks of
+    # models in lockstep: (gains, stable), with stable the mask of the Schur-
+    # stable A (zero gains).  Each trial stops where it stops alone; one whose
+    # P overflows keeps its last finite round's gain, so a non-finite A keeps
+    # a zero gain that its caller's check rejects.  NaN marks a failed solve.
+    gains = np.zeros(A.shape[:1] + B.shape[-1:] + A.shape[-1:])
+    stable, _ = stabilizing_slices(A)
+    stable = np.ones(len(A), dtype=bool) if stable is None else stable
+    left = np.flatnonzero(~stable)  # the trials still running
+    A, B = A[left], B[left]
+    P = np.broadcast_to(Q, A.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(SEED_HORIZON):
+            if not len(left):
+                break
+            K, solved = each_slice(lambda A, B, P: _improved_gain(A, B, R, P), A, B, P)
+            if solved is not None:
+                gains[left[~solved]] = np.nan
+                left, A, B, P = left[solved], A[solved], B[solved], P[solved]
+            F = A + B @ K
+            P_next = symmetrize(Q + K.swapaxes(-1, -2) @ R @ K + F.swapaxes(-1, -2) @ P @ F)
+            finite = np.isfinite(P_next).all(axis=(-2, -1))
+            gains[left[finite]] = K[finite]
+            go = finite & (P_next != P).any(axis=(-2, -1))
+            left, A, B, P = left[go], A[go], B[go], P_next[go]
+    return gains, stable
 
 
 def _improved_gain(A, B, R, P):
@@ -377,24 +392,18 @@ class RiccatiSolution:
         self.iterations = iterations
         self._problem = (A, B, Q, R)
         self._closed_loop = closed_loop
-        self._value = None
-        self._residual = None
 
-    @property
+    @cached_property
     def value_matrix(self):
-        if self._value is None:
-            _, _, Q, R = self._problem
-            self._value = _policy_value(Q, R, self.gain, self._closed_loop)
-        return self._value
+        _, _, Q, R = self._problem
+        return _policy_value(Q, R, self.gain, self._closed_loop)
 
-    @property
+    @cached_property
     def residual(self):
-        if self._residual is None:
-            A, B, Q, R = self._problem
-            P = self.value_matrix
-            defect = Q + A.T @ P @ A + A.T @ P @ B @ _improved_gain(A, B, R, P) - P
-            self._residual = float(np.linalg.norm(defect))
-        return self._residual
+        A, B, Q, R = self._problem
+        P = self.value_matrix
+        defect = Q + A.T @ P @ A + A.T @ P @ B @ _improved_gain(A, B, R, P) - P
+        return float(np.linalg.norm(defect))
 
 
 def solve_riccati_hewer(A, B, Q, R, K0=None):
@@ -451,16 +460,20 @@ def solve_riccati_hewer(A, B, Q, R, K0=None):
 CONVERGED, NOT_STABILIZING, NO_CONVERGENCE, SOLVE_FAILED = range(4)
 
 
-def policy_iterations(A, B, Q, R, K):
+def policy_iterations(A, B, Q, R, K=None):
     """:func:`solve_riccati_hewer`'s loop from the gains K on (k, ...) stacks
     of models and gains, all trials in lockstep until each converges or
     fails: (gains, status), the converged gains (NaN where a trial did not
-    converge) and each trial's outcome.
+    converge) and each trial's outcome.  Without K each trial starts from
+    its :func:`initial_stabilizing_gain` seed, the seeds found in lockstep
+    too and checked by the first round.
 
     A round makes one stacked Lyapunov solve and one stacked stability check
     over the trials still running, so each trial's iterates are bitwise those
     of its own run.
     """
+    if K is None:
+        K, _ = _seed_gains(A, B, Q, R)
     gains = np.full(K.shape, np.nan)
     status = np.full(len(K), NO_CONVERGENCE)
     left = np.arange(len(K))  # the trials still running
@@ -498,19 +511,3 @@ def policy_iterations(A, B, Q, R, K):
             keep = ~done if keep is None else keep & ~done
         K = K_next
     return gains, status
-
-
-def riccati_gains(A, B, Q, R):
-    """:func:`solve_riccati_hewer`'s gains for (k, ...) stacks of models, NaN
-    where a trial's solve fails: each trial's :func:`initial_stabilizing_gain`,
-    then :func:`policy_iterations` from these seeds in lockstep, so each gain
-    is bitwise that of its trial's own solve."""
-    gains = np.full(A.shape[:1] + B.shape[-1:] + A.shape[-1:], np.nan)
-    for i in range(len(A)):
-        try:
-            gains[i] = initial_stabilizing_gain(A[i], B[i], Q, R)
-        except (NotStabilizing, np.linalg.LinAlgError):
-            pass
-    seeded = ~np.isnan(gains).any(axis=(-2, -1))
-    gains[seeded], _ = policy_iterations(A[seeded], B[seeded], Q, R, gains[seeded])
-    return gains

@@ -219,9 +219,14 @@ def test_stacked_one_shot_restart_equals_the_trial_alone(monkeypatch):
     state.gain[1] = np.eye(3)
     alone = [state.take(i) for i in range(k)]
     restarts = []
-    gains = pgac.controller.riccati_gains
-    monkeypatch.setattr(pgac.controller, "riccati_gains",
-                        lambda A, *args: restarts.append(len(A)) or gains(A, *args))
+    iterations = pgac.controller.policy_iterations
+
+    def counted(A, B, Q, R, K=None):
+        if K is None:
+            restarts.append(len(A))
+        return iterations(A, B, Q, R, K)
+
+    monkeypatch.setattr(pgac.controller, "policy_iterations", counted)
     u, w = rng.standard_normal((2, k, 3))
     x_next = x @ plant.A.T + u @ plant.B.T + w
     advance(state, x, u, x_next, w)

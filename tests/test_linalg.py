@@ -525,3 +525,47 @@ def test_policy_iterations_equal_riccati_solves_of_each_trial():
             assert np.isnan(gains[i]).all() == (status[i] != pgac.linalg.CONVERGED)
     assert set(status.tolist()) == {pgac.linalg.CONVERGED, pgac.linalg.NOT_STABILIZING,
                                     pgac.linalg.SOLVE_FAILED}
+
+
+def test_seeded_policy_iterations_equal_riccati_solves_of_each_trial():
+    # without gains, policy_iterations seeds every trial in lockstep: perturbed
+    # benchmark models, among them a Schur-stable A (the zero seed), an
+    # unstabilizable mode fast enough to overflow P, an unstabilizable
+    # unstable mode that runs the whole horizon, and a non-finite model
+    plant = benchmark_plant()
+    Q, R = plant.Q, plant.R
+    rng = np.random.default_rng(5)
+    A = plant.A + 0.3 * rng.standard_normal((12, 3, 3))
+    B = plant.B + 0.3 * rng.standard_normal((12, 3, 3))
+    A[2] = 0.5 * np.eye(3)
+    A[5], B[5, 0] = np.diag([100.0, 0.5, 0.5]), 0.0
+    A[8], B[8, 0] = np.diag([2.0, 0.5, 0.5]), 0.0
+    A[10, 1, 1] = np.nan
+    for k in (1, 7, 12):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gains, status = pgac.linalg.policy_iterations(A[:k], B[:k], Q, R)
+        for i in range(k):
+            try:
+                sol = solve_riccati_hewer(A[i], B[i], Q, R)
+            except NotStabilizing:
+                assert status[i] == pgac.linalg.NOT_STABILIZING
+            except np.linalg.LinAlgError:
+                assert status[i] == pgac.linalg.SOLVE_FAILED
+            else:
+                assert status[i] == pgac.linalg.CONVERGED
+                assert np.array_equal(gains[i], sol.gain)
+            assert np.isnan(gains[i]).all() == (status[i] != pgac.linalg.CONVERGED)
+    assert status[[2, 5, 8, 10]].tolist() == [pgac.linalg.CONVERGED, pgac.linalg.NOT_STABILIZING,
+                                              pgac.linalg.NOT_STABILIZING,
+                                              pgac.linalg.SOLVE_FAILED]
+    # the seeds of test_seed_recursion_equals_full_horizon's benchmark
+    # estimates, as one stack, against the recursion that never stops early
+    ests = [batch_least_squares(simulate_record(plant, np.random.default_rng(seed), 20))
+            for seed in range(12)]
+    seeds, stable = pgac.linalg._seed_gains(np.stack([est.Ahat for est in ests]),
+                                            np.stack([est.Bhat for est in ests]), Q, R)
+    for i, est in enumerate(ests):
+        K_ref, _ = full_horizon_seed_gain(est.Ahat, est.Bhat, Q, R)
+        assert np.array_equal(seeds[i], K_ref)
+        assert stable[i] == (spectral_radius(est.Ahat) < 1.0 - 1e-9)
